@@ -36,11 +36,9 @@ from .hyperprior import (
     SideInfo,
     apply_confidence,
     calibrate,
-    compose_latent,
     hyper_analysis,
     hyper_synthesis,
     load_model,
-    plc_predict,
     rvq_decode,
     rvq_encode,
     save_model,
@@ -72,7 +70,6 @@ from .rangecoder import (
 )
 from .receiver import (
     DecodedFrame,
-    LossMasks,
     LostPacket,
     ProtocolError,
     Receiver,

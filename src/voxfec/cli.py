@@ -24,7 +24,7 @@ from .channel import (
     stationary_loss_rate,
     trace_stats,
 )
-from .frontend import read_wav, write_wav
+from .frontend import FRAME_SAMPLES, frame_encode, read_wav, write_wav
 from .hyperprior import CodecModel, ConfidenceTokens, calibrate, load_model, save_model
 from .hyperprior import D_Z_DEFAULT, KAPPA_DEFAULT, RHO_DEFAULT, SIGMA_MIN_DEFAULT
 from .metrics import WaveMetrics, compute_metrics
@@ -37,7 +37,6 @@ from .packets import (
 )
 from .pipeline import decode_stream, encode_stream, simulate_stream
 from .receiver import ReceiverConfig
-from .frontend import FRAME_SAMPLES, frame_encode
 from .transform import analysis
 
 METRICS_SCHEMA = "# voxfec metrics v1"
@@ -303,15 +302,19 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _sweep_point(clip, model, q_lambda, fec, loss_rate, delay, seed):
-    result = encode_stream(clip, model, q_lambda, fec)
+def _sweep_point(clip, model, result, loss_rate, delay, seed):
     trace = gen_bernoulli(loss_rate, len(result.packets), seed) if loss_rate > 0 else None
-    config = ReceiverConfig(fec, delay)
+    config = ReceiverConfig(result.header.fec, delay)
     sim = simulate_stream(
         result.packets, trace, model, config, result.header.sample_count, result.y_ref
     )
     wave = compute_metrics(clip, sim.clip)
     return result.report, wave, sim.report
+
+
+def _encode_and_sweep(clip, model, q_lambda, fec, loss_rate, delay, seed):
+    result = encode_stream(clip, model, q_lambda, fec)
+    return _sweep_point(clip, model, result, loss_rate, delay, seed)
 
 
 def cmd_sweep(args) -> int:
@@ -327,21 +330,24 @@ def cmd_sweep(args) -> int:
     fec = _fec_from_args(args)
     out = _require(args, "out")
 
+    # (label, point function, its arguments between (clip, model) and (delay, seed))
     points = []
     if axis == "q_lambda":
         vals = [int(v) for v in str(values or "0,8,16,24,32,40,48,56,63").split(",")]
         for v in vals:
-            points.append((f"q{v}", v, fec, loss_rate))
+            points.append((f"q{v}", _encode_and_sweep, (v, fec, loss_rate)))
     elif axis == "loss":
         vals = [float(v) for v in str(values or "0,0.05,0.1,0.2,0.3").split(",")]
+        # the encoding does not depend on the loss rate
+        result = encode_stream(clip, model, q_lambda, fec)
         for v in vals:
-            points.append((f"p{_fmt(v)}", q_lambda, fec, v))
+            points.append((f"p{_fmt(v)}", _sweep_point, (result, v)))
     elif axis == "fec":
         vals = str(values or "1x1,2x2,6x1").split(",")
         for v in vals:
             q_str, n_str = v.lower().split("x")
             cfg = FecConfig(int(q_str), _SWEEP_OFFSETS[int(n_str)])
-            points.append((f"fec{v}", q_lambda, cfg, loss_rate))
+            points.append((f"fec{v}", _encode_and_sweep, (q_lambda, cfg, loss_rate)))
     else:
         raise SystemExit(f"unknown sweep axis {axis!r}")
 
@@ -354,16 +360,15 @@ def cmd_sweep(args) -> int:
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [
-                pool.submit(_sweep_point, clip, model, ql, cfg, p, delay, seed)
-                for _, ql, cfg, p in points
+                pool.submit(fn, clip, model, *point, delay, seed) for _, fn, point in points
             ]
             for (label, *_), fut in zip(points, futures):
                 rates, wave, rx = fut.result()
                 rows.append(_metrics_row(label, rates, wave, rx))
                 print(f"{label}: done")
     else:
-        for label, ql, cfg, p in points:
-            rates, wave, rx = _sweep_point(clip, model, ql, cfg, p, delay, seed)
+        for label, fn, point in points:
+            rates, wave, rx = fn(clip, model, *point, delay, seed)
             rows.append(_metrics_row(label, rates, wave, rx))
             print(f"{label}: done")
     with open(out, "w", encoding="ascii") as fh:

@@ -5,8 +5,8 @@ with residual vector quantization into a fixed tuple of 10-bit indices, and
 expanded at both ends into per-dimension Gaussian parameters. The same
 expansion serves two consumers: it conditions the entropy coder for
 received frames, and its mean is the concealment prediction for lost
-frames. When no copy of the summary survives, a decaying repeat of the last
-emitted latent stands in, with inflated spread.
+frames. When no copy of the summary survives, the receiver repeats the last
+emitted latent, decayed by rho.
 
 Codebooks are produced offline by `calibrate` (residual k-means with
 deterministic farthest-point seeding) together with a per-band spread table
@@ -43,15 +43,10 @@ class SideInfo:
 
     indices: tuple[int, ...]
     frame_index: int
-    masked: tuple[bool, ...] = ()
 
     def __post_init__(self):
         indices = tuple(int(i) for i in self.indices)
         object.__setattr__(self, "indices", indices)
-        masked = tuple(self.masked) if self.masked else (False,) * len(indices)
-        object.__setattr__(self, "masked", masked)
-        if len(masked) != len(indices):
-            raise ValueError("mask length must equal stage count")
         for i in indices:
             if not 0 <= i < CODEBOOK_SIZE:
                 raise ValueError(f"side-info index {i} out of range")
@@ -116,7 +111,7 @@ class ConfidenceTokens:
 
     m_high: np.ndarray
     m_low: np.ndarray
-    m_z: np.ndarray  # (q, d_z) per-stage substitute for missing stages
+    m_z: np.ndarray  # (q, d_z) kept in the model file; no stage is ever missing
 
     def __post_init__(self):
         object.__setattr__(self, "m_high", np.asarray(self.m_high, dtype=np.float64))
@@ -141,7 +136,7 @@ class CodecModel:
     q: int
     sigma_min: float
     rho: float
-    kappa: float
+    kappa: float  # kept in the model file; no output depends on it
     sigma_table: np.ndarray
     tokens: ConfidenceTokens
     codebooks: RvqCodebooks | None
@@ -172,6 +167,10 @@ class CodecModel:
             crc = zlib.crc32(_model_body(self)) & 0xFFFFFFFF
             object.__setattr__(self, "_crc", crc)
             return crc
+
+    def __getstate__(self):
+        # caches built on first use (the CRC, the CDF-table memo) stay behind
+        return {k: v for k, v in vars(self).items() if not k.startswith("_")}
 
 
 def hyper_analysis(coeffs: np.ndarray, d_z: int) -> np.ndarray:
@@ -211,53 +210,25 @@ def rvq_encode(
 def rvq_decode(
     si: SideInfo, books: RvqCodebooks, mask_tokens: np.ndarray | None = None
 ) -> np.ndarray:
-    """Sum the indexed centroids; masked stages contribute their mask token."""
+    """Sum the indexed centroids. Copies of side info are all-or-nothing, so
+    no stage is ever masked and `mask_tokens` is unused."""
     if si.stages > books.n_stages:
         raise ValueError(f"side info has {si.stages} stages, codebooks {books.n_stages}")
     out = np.zeros(books.d_z)
-    for s, (idx, masked) in enumerate(zip(si.indices, si.masked)):
-        if masked:
-            if mask_tokens is not None:
-                out += mask_tokens[s]
-        else:
-            if idx >= CODEBOOK_SIZE:
-                raise ValueError(f"corrupt stream: side-info index {idx} out of range")
-            out += books.stages[s, idx]
+    for s, idx in enumerate(si.indices):
+        out += books.stages[s, idx]
     return out
 
 
-def hyper_synthesis(
-    z_hat: np.ndarray | None,
-    model: CodecModel,
-    prev_yhat: np.ndarray | None = None,
-    fully_masked: bool = False,
-) -> GaussianParams:
-    """Expand a decoded summary into Gaussian parameters over the latent.
-
-    With a summary available, the mean is its block-wise broadcast and the
-    spread comes from the calibrated table. With the summary fully missing,
-    the mean decays the previous emitted latent (rho per frame) and the
-    spread is inflated by kappa. The spread is floored at sigma_min either
-    way.
-    """
-    if fully_masked:
-        if prev_yhat is None:
-            mu = np.zeros(model.d_y)
-        else:
-            mu = model.rho * np.asarray(prev_yhat, dtype=np.float64)
-        sigma = model.kappa * model.sigma_table
-    else:
-        z_hat = np.zeros(model.d_z) if z_hat is None else np.asarray(z_hat, dtype=np.float64)
-        if z_hat.shape != (model.d_z,):
-            raise ValueError(f"summary dimension {z_hat.shape} != ({model.d_z},)")
-        mu = np.repeat(z_hat, model.block)
-        sigma = model.sigma_table
-    return GaussianParams(mu, np.maximum(sigma, model.sigma_min))
-
-
-def plc_predict(theta: GaussianParams) -> np.ndarray:
-    """Concealment prediction: the model mean (squared-error optimal)."""
-    return theta.mu.copy()
+def hyper_synthesis(z_hat: np.ndarray | None, model: CodecModel) -> GaussianParams:
+    """Expand a decoded summary into Gaussian parameters over the latent:
+    the mean is its block-wise broadcast, the spread the calibrated table
+    floored at sigma_min."""
+    z_hat = np.zeros(model.d_z) if z_hat is None else np.asarray(z_hat, dtype=np.float64)
+    if z_hat.shape != (model.d_z,):
+        raise ValueError(f"summary dimension {z_hat.shape} != ({model.d_z},)")
+    mu = np.repeat(z_hat, model.block)
+    return GaussianParams(mu, np.maximum(model.sigma_table, model.sigma_min))
 
 
 def apply_confidence(
@@ -266,20 +237,6 @@ def apply_confidence(
     """Add the high- or low-confidence token to a concealment prediction."""
     token = tokens.m_high if z_fully_available else tokens.m_low
     return np.asarray(y_p, dtype=np.float64) + token
-
-
-def compose_latent(
-    y_q: np.ndarray | None, y_m_p: np.ndarray | None, lost: bool
-) -> np.ndarray:
-    """Select the frame's output: dequantized symbols if received, the
-    concealment prediction if lost."""
-    if lost:
-        if y_m_p is None:
-            raise RuntimeError("internal error: lost frame with no prediction")
-        return np.asarray(y_m_p, dtype=np.float64)
-    if y_q is None:
-        raise RuntimeError("internal error: received frame with no decoded symbols")
-    return np.asarray(y_q, dtype=np.float64)
 
 
 def _kmeans(data: np.ndarray, k: int, iters: int, seed: int) -> np.ndarray:

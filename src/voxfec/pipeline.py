@@ -8,7 +8,7 @@ import numpy as np
 
 from .channel import LossTrace
 from .frontend import PcmClip, frame_decode, frame_encode
-from .hyperprior import CodecModel, hyper_analysis, hyper_synthesis, rvq_decode, rvq_encode
+from .hyperprior import CodecModel, hyper_analysis, rvq_encode
 from .packets import (
     BitrateReport,
     FecConfig,
@@ -17,9 +17,9 @@ from .packets import (
     account_stream,
     build_packet,
 )
-from .rangecoder import DEFAULT_TABLE_CACHE, TableCache, build_cdf, encode_frame
+from .rangecoder import encode_frame, frame_tables
 from .receiver import DecodedFrame, LostPacket, Receiver, ReceiverConfig, ReceiverReport
-from .transform import RateControl, analysis, lambda_from_q, quantize, step_from_lambda, synthesis
+from .transform import analysis, quantize, synthesis
 
 
 @dataclass(frozen=True)
@@ -43,37 +43,22 @@ def encode_stream(
     model: CodecModel,
     q_lambda: int,
     fec: FecConfig,
-    table_cache: TableCache | None = None,
 ) -> EncodeResult:
     """Run the sender: frame, transform, summarize, quantize, pack."""
-    rc = RateControl(q_lambda)
-    step = step_from_lambda(lambda_from_q(rc))
     frames = frame_encode(clip, model.d_l)
     y_ref = np.empty((len(frames), model.d_y))
     z_cache = {}
-    tables_cache = DEFAULT_TABLE_CACHE if table_cache is None else table_cache
-    model_crc = model.content_crc
     packets = []
     for f in frames:
         t = f.frame_index
         y = analysis(f)
         y_ref[t] = y.coeffs
+        si = None
         if fec.q > 0:
             z = hyper_analysis(y.coeffs, model.d_z)
             si = rvq_encode(z, model.codebooks, fec.q, t)
-            z_hat = rvq_decode(si, model.codebooks, model.tokens.m_z)
             z_cache[t] = si
-            key = (model_crc, si.indices, q_lambda)
-        else:
-            z_hat = np.zeros(model.d_z)
-            key = (model_crc, (), q_lambda)
-        tables = tables_cache.get(key)
-        if tables is None:
-            # the decoder rebuilds the same tables from the same decoded
-            # summary, which is what makes the payload decodable
-            theta = hyper_synthesis(z_hat, model)
-            tables = build_cdf(theta, step)
-            tables_cache.put(key, tables)
+        tables, step = frame_tables(model, si, q_lambda)
         yq = quantize(y, step)
         payload = encode_frame(yq, tables)
         packets.append(build_packet(t, payload, z_cache, fec, q_lambda))

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .hyperprior import GaussianParams
-from .transform import QuantizedLatent
+from .hyperprior import CodecModel, GaussianParams, SideInfo, hyper_synthesis, rvq_decode
+from .transform import QuantizedLatent, RateControl, lambda_from_q, step_from_lambda
 
 PRECISION = 16
 TOTAL = 1 << PRECISION
@@ -282,34 +282,51 @@ def measure_rate(bits: Bitstream) -> int:
 
 
 class TableCache:
-    """Byte-bounded FIFO memo for CdfTables.
-
-    Tables are pure functions of (model, side info, rate index), so sender
-    and receiver instances may share one cache; callers must include a
-    model identifier in the key. Useful when side info has low entropy
-    (few distinct summaries); a miss costs one build_cdf.
-    """
+    """Byte-bounded FIFO memo of (CdfTable, step) entries; a miss costs one
+    build_cdf. Each model owns one, filled by `frame_tables`."""
 
     def __init__(self, max_bytes: int = 64 << 20):
         self._max_bytes = max_bytes
         self._bytes = 0
-        self._store: dict[tuple, CdfTable] = {}
+        self._store: dict[tuple, tuple[CdfTable, float]] = {}
 
-    def get(self, key: tuple) -> CdfTable | None:
+    def get(self, key: tuple) -> tuple[CdfTable, float] | None:
         return self._store.get(key)
 
-    def put(self, key: tuple, table: CdfTable) -> None:
+    def put(self, key: tuple, entry: tuple[CdfTable, float]) -> None:
         # ~30 bytes per count: the uint32 row plus its boxed-int mirror
-        size = table.cum.shape[0] * table.cum.shape[1] * 30
+        size = entry[0].cum.size * 30
         while self._store and self._bytes + size > self._max_bytes:
             oldest = next(iter(self._store))
             old = self._store.pop(oldest)
-            self._bytes -= old.cum.shape[0] * old.cum.shape[1] * 30
+            self._bytes -= old[0].cum.size * 30
         self._bytes += size
-        self._store[key] = table
+        self._store[key] = entry
 
 
-DEFAULT_TABLE_CACHE = TableCache()
+def frame_tables(
+    model: CodecModel, si: SideInfo | None, q_lambda: int
+) -> tuple[CdfTable, float]:
+    """Tables and quantizer step of a frame coded at rate index `q_lambda`
+    under side info `si` (None: no summary, so a zero mean).
+
+    Sender and receiver both call this, so the receiver rebuilds exactly
+    the tables the payload was coded with. The model memoizes them in its
+    own TableCache, created on first use.
+    """
+    try:
+        memo = model._tables  # type: ignore[attr-defined]
+    except AttributeError:
+        memo = TableCache()
+        object.__setattr__(model, "_tables", memo)
+    key = (si.indices if si is not None else (), q_lambda)
+    entry = memo.get(key)
+    if entry is None:
+        step = step_from_lambda(lambda_from_q(RateControl(q_lambda)))
+        z_hat = None if si is None else rvq_decode(si, model.codebooks)
+        entry = (build_cdf(hyper_synthesis(z_hat, model), step), step)
+        memo.put(key, entry)
+    return entry
 
 
 def model_bits(yq: QuantizedLatent, tables: CdfTable) -> float:

@@ -14,7 +14,8 @@ its decode path is final:
   plc_low   nothing cached; output decays the previous emitted latent and
             adds the low-confidence token
 
-Every frame always yields output, in order and gap-free.
+A packet whose rate index or side info the model cannot use counts as
+lost. Every frame always yields output, in order and gap-free.
 """
 
 from __future__ import annotations
@@ -23,25 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hyperprior import (
-    CodecModel,
-    SideInfo,
-    apply_confidence,
-    compose_latent,
-    hyper_synthesis,
-    plc_predict,
-    rvq_decode,
-)
+from .hyperprior import CodecModel, SideInfo, apply_confidence, hyper_synthesis, rvq_decode
 from .packets import FecConfig, Packet
-from .rangecoder import (
-    DEFAULT_TABLE_CACHE,
-    CdfTable,
-    DecodeFailure,
-    TableCache,
-    build_cdf,
-    decode_frame,
-)
-from .transform import LatentCode, RateControl, dequantize, lambda_from_q, step_from_lambda
+from .rangecoder import DecodeFailure, decode_frame, frame_tables
+from .transform import Q_NUM, LatentCode, dequantize
 
 PATH_ENTROPY = "entropy"
 PATH_PLC_HIGH = "plc_high"
@@ -60,28 +46,9 @@ class LostPacket:
 
 
 @dataclass(frozen=True)
-class LossMasks:
-    """Per-frame record of what was missing when the frame was emitted.
-
-    y_lost is true when the packet was lost or its payload undecodable;
-    z_stage_masked holds one flag per side-info stage (all true when no
-    copy was cached, since copies are only ever complete).
-    """
-
-    y_lost: bool
-    z_stage_masked: tuple[bool, ...]
-    z_fully_available: bool
-
-
-@dataclass(frozen=True)
 class ReceiverConfig:
     fec: FecConfig
     playout_delay: int | None = None
-    entropy_context: int = 1  # conditioning never spans neighbouring frames
-
-    def __post_init__(self):
-        if self.entropy_context != 1:
-            raise ValueError("entropy context is fixed at one frame")
 
     @property
     def delay(self) -> int:
@@ -115,21 +82,18 @@ class Receiver:
         self,
         model: CodecModel,
         config: ReceiverConfig,
-        table_cache: TableCache | None = None,
     ):
         self.model = model
         self.config = config
         self._cache: dict[int, SideInfo] = {}
         self._pending: dict[int, Packet | None] = {}
-        self._steps: dict[int, float] = {}
-        self._tables = DEFAULT_TABLE_CACHE if table_cache is None else table_cache
-        self._model_crc = model.content_crc
         self._next_event = 0
         self._next_emit = 0
         self._newest = -1
-        self._last_code: np.ndarray | None = None
-        self.paths: list[str] = []
-        self.masks: list[LossMasks] = []
+        self._last_code = np.zeros(model.d_y)
+        # without codebooks, no side info is usable, not even zero stages
+        self._max_stages = -1 if model.codebooks is None else model.codebooks.n_stages
+        self._counts = {PATH_ENTROPY: 0, PATH_PLC_HIGH: 0, PATH_PLC_LOW: 0}
 
     def ingest(self, event: Packet | LostPacket) -> list[DecodedFrame]:
         """Process one in-order event; returns frames that became emittable."""
@@ -140,7 +104,7 @@ class Receiver:
             )
         self._next_event += 1
         self._newest = t
-        if isinstance(event, Packet):
+        if isinstance(event, Packet) and self._usable(event):
             for off, si in event.z_blocks:
                 target = t - off
                 if target < self._next_emit:
@@ -160,13 +124,11 @@ class Receiver:
         emitted = []
         while self._next_emit <= self._newest:
             emitted.append(self._emit_next())
-        counts = {PATH_ENTROPY: 0, PATH_PLC_HIGH: 0, PATH_PLC_LOW: 0}
-        for p in self.paths:
-            counts[p] += 1
+        counts = self._counts
         lost = counts[PATH_PLC_HIGH] + counts[PATH_PLC_LOW]
         recovery = counts[PATH_PLC_HIGH] / lost if lost else 1.0
         report = ReceiverReport(
-            frames=len(self.paths),
+            frames=self._next_emit,
             entropy_count=counts[PATH_ENTROPY],
             plc_high_count=counts[PATH_PLC_HIGH],
             plc_low_count=counts[PATH_PLC_LOW],
@@ -174,67 +136,39 @@ class Receiver:
         )
         return emitted, report
 
-    def _tables_for(self, si: SideInfo | None, q_lambda: int) -> tuple[CdfTable, float]:
-        key = (self._model_crc, si.indices if si is not None else (), q_lambda)
-        step = self._steps.get(q_lambda)
-        if step is None:
-            step = step_from_lambda(lambda_from_q(RateControl(q_lambda)))
-            self._steps[q_lambda] = step
-        cached = self._tables.get(key)
-        if cached is None:
-            theta = self._theta_for(si)
-            cached = build_cdf(theta, step)
-            self._tables.put(key, cached)
-        return cached, step
-
-    def _theta_for(self, si: SideInfo | None):
-        model = self.model
-        if si is None:
-            z_hat = np.zeros(model.d_z)
-        else:
-            z_hat = rvq_decode(si, model.codebooks, model.tokens.m_z)
-        return hyper_synthesis(z_hat, model)
+    def _usable(self, packet: Packet) -> bool:
+        # a packet can pass its CRC and still carry a rate index or side
+        # info that the model cannot decode
+        if not 0 <= packet.q_lambda < Q_NUM:
+            return False
+        for _, si in packet.z_blocks:
+            if len(si.indices) > self._max_stages:
+                return False
+        return True
 
     def _emit_next(self) -> DecodedFrame:
         model = self.model
         t = self._next_emit
         packet = self._pending.pop(t, None)
-        si = self._cache.get(t)
+        si = self._cache.pop(t, None)
         code = None
-        path = None
         if packet is not None:
-            tables, step = self._tables_for(si, packet.q_lambda)
+            tables, step = frame_tables(model, si, packet.q_lambda)
             try:
                 yq = decode_frame(packet.payload, tables, model.d_y)
-                y_hat = dequantize(yq, step).coeffs
-                code = compose_latent(y_hat, None, lost=False)
+                code = dequantize(yq, step).coeffs
                 path = PATH_ENTROPY
             except DecodeFailure:
                 pass  # fall through to concealment
         if code is None:
             if si is not None:
-                theta = self._theta_for(si)
-                y_p = plc_predict(theta)
-                y_m = apply_confidence(y_p, True, model.tokens)
+                mu = hyper_synthesis(rvq_decode(si, model.codebooks), model).mu
+                code = apply_confidence(mu, True, model.tokens)
                 path = PATH_PLC_HIGH
             else:
-                theta = hyper_synthesis(
-                    None, model, prev_yhat=self._last_code, fully_masked=True
-                )
-                y_p = plc_predict(theta)
-                y_m = apply_confidence(y_p, False, model.tokens)
+                code = apply_confidence(model.rho * self._last_code, False, model.tokens)
                 path = PATH_PLC_LOW
-            code = compose_latent(None, y_m, lost=True)
         self._last_code = code
         self._next_emit += 1
-        self._cache.pop(t, None)
-        self.paths.append(path)
-        n_stages = si.stages if si is not None else self.config.fec.q
-        self.masks.append(
-            LossMasks(
-                y_lost=path != PATH_ENTROPY,
-                z_stage_masked=(si is None,) * n_stages,
-                z_fully_available=si is not None,
-            )
-        )
+        self._counts[path] += 1
         return DecodedFrame(LatentCode(code, t), path)

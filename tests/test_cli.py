@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import voxfec.cli as cli
 from voxfec.cli import main
 from voxfec.corpus import speech_like_clip
 from voxfec.frontend import read_wav, write_wav
@@ -150,6 +151,23 @@ def test_sweep_parallel_matches_serial(workdir):
     main(args + ["--out", str(a)])
     main(args + ["--out", str(b), "--jobs", "2"])
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_loss_sweep_encodes_once(workdir, monkeypatch):
+    # the encoding does not depend on the loss rate
+    calls = []
+    encode = cli.encode_stream
+
+    def counting(*args):
+        calls.append(args)
+        return encode(*args)
+
+    monkeypatch.setattr(cli, "encode_stream", counting)
+    d, wav, model, _ = workdir
+    assert main(["sweep", "--input", str(wav), "--model", str(model), "--axis", "loss",
+                 "--values", "0,0.1,0.3", "--seed", "9", "--out", str(d / "sw_once.csv")]) == 0
+    assert len(calls) == 1
+    assert len((d / "sw_once.csv").read_text().splitlines()) == 2 + 3
 
 
 def test_config_file_supplies_defaults(workdir):

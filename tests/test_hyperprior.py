@@ -6,16 +6,13 @@ import pytest
 from voxfec.hyperprior import (
     CODEBOOK_SIZE,
     ConfidenceTokens,
-    GaussianParams,
     RvqCodebooks,
     SideInfo,
     apply_confidence,
     calibrate,
-    compose_latent,
     hyper_analysis,
     hyper_synthesis,
     load_model,
-    plc_predict,
     rvq_decode,
     rvq_encode,
     save_model,
@@ -109,21 +106,9 @@ def test_rvq_residual_energy_non_increasing():
         assert np.sum((v - recon) ** 2) <= np.sum(v**2) + 1e-12
 
 
-def test_rvq_decode_masked_stages():
-    books = toy_books()
-    si = SideInfo((1, 1), 0, masked=(True, True))
-    assert np.all(rvq_decode(si, books) == 0.0)
-    tokens = np.array([[9.0, 9.0], [1.0, 1.0]])
-    assert np.allclose(rvq_decode(si, books, tokens), [10.0, 10.0])
-    half = SideInfo((1, 1), 0, masked=(False, True))
-    assert np.allclose(rvq_decode(half, books), [1.0, 1.0])
-
-
 def test_sideinfo_validation():
     with pytest.raises(ValueError, match="out of range"):
         SideInfo((1024,), 0)
-    with pytest.raises(ValueError, match="mask length"):
-        SideInfo((1, 2), 0, masked=(True,))
 
 
 def make_small_model(d_y=8, d_z=4, q=1, seed=3):
@@ -146,40 +131,10 @@ def test_hyper_synthesis_unmasked():
     assert np.array_equal(theta.mu, want)
 
 
-def test_hyper_synthesis_fully_masked():
-    model = make_small_model()
-    theta = hyper_synthesis(None, model, prev_yhat=None, fully_masked=True)
-    assert np.all(theta.mu == 0.0)
-    expect = np.maximum(model.kappa * model.sigma_table, model.sigma_min)
-    assert np.allclose(theta.sigma, expect)
-    prev = np.arange(8.0)
-    theta = hyper_synthesis(None, model, prev_yhat=prev, fully_masked=True)
-    assert np.allclose(theta.mu, 0.9 * prev)
-
-
 def test_sigma_always_floored():
     model = make_small_model()
     theta = hyper_synthesis(np.zeros(4), model)
     assert np.all(theta.sigma >= model.sigma_min)
-
-
-def test_plc_predict_is_mean():
-    theta = GaussianParams(np.array([1.0, 2.0]), np.array([0.5, 0.5]))
-    assert np.allclose(plc_predict(theta), [1.0, 2.0])
-    assert np.all(plc_predict(GaussianParams(np.zeros(3), np.ones(3))) == 0.0)
-
-
-def test_plc_predict_minimizes_mse_monte_carlo():
-    # mean prediction beats any fixed alternative on model-drawn samples
-    rng = np.random.default_rng(12)
-    mu = np.array([0.3, -0.7, 1.1, 0.0])
-    sigma = np.array([0.2, 0.5, 0.1, 0.3])
-    draws = rng.normal(mu, sigma, size=(100_000, 4))
-    mse_mu = np.mean((draws - mu) ** 2)
-    for shift in (0.05, -0.1, 0.3):
-        alt = mu + shift
-        mse_alt = np.mean((draws - alt) ** 2)
-        assert mse_mu < mse_alt
 
 
 def test_apply_confidence():
@@ -190,22 +145,6 @@ def test_apply_confidence():
     zero = ConfidenceTokens.zeros(2, 1, 2)
     assert np.allclose(apply_confidence(y, True, zero), y)
     assert np.allclose(apply_confidence(y, False, zero), y)
-
-
-def test_compose_latent_selection():
-    assert np.all(compose_latent(np.array([2.0, 4.0]), None, lost=False) == [2.0, 4.0])
-    assert np.all(compose_latent(None, np.array([0.0, 9.0]), lost=True) == [0.0, 9.0])
-    with pytest.raises(RuntimeError, match="no prediction"):
-        compose_latent(None, None, lost=True)
-    # all four two-frame loss patterns route to the right source
-    yq = [np.array([1.0]), np.array([2.0])]
-    yp = [np.array([-1.0]), np.array([-2.0])]
-    for l0 in (False, True):
-        for l1 in (False, True):
-            out0 = compose_latent(yq[0], yp[0], l0)
-            out1 = compose_latent(yq[1], yp[1], l1)
-            assert out0[0] == (-1.0 if l0 else 1.0)
-            assert out1[0] == (-2.0 if l1 else 2.0)
 
 
 def test_calibrate_repeated_vector_degenerate():

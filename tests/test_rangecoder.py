@@ -1,11 +1,13 @@
+import dataclasses
 import hashlib
 import itertools
+import pickle
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from voxfec.hyperprior import GaussianParams
+from voxfec.hyperprior import GaussianParams, SideInfo
 from voxfec.rangecoder import (
     GUARD_BITS,
     GUARD_VALUE,
@@ -13,13 +15,15 @@ from voxfec.rangecoder import (
     CdfTable,
     DecodeFailure,
     TOTAL,
+    _largest_remainder,
     build_cdf,
     decode_frame,
     encode_frame,
+    frame_tables,
     measure_rate,
     model_bits,
 )
-from voxfec.transform import QuantizedLatent
+from voxfec.transform import QuantizedLatent, RateControl, lambda_from_q, step_from_lambda
 
 # interval mass of symbol 0 for mu=0, sigma=step, frozen from mpmath:
 # erf(0.5/sqrt(2)) at 40 digits
@@ -142,6 +146,30 @@ def test_cdf_matches_row_by_row_reference():
                 counts[i] += 1
             want = np.concatenate([[0], np.cumsum(counts + 1), [TOTAL]])
             assert np.array_equal(tables.cum[r], want), (trial, r)
+
+
+def test_largest_remainder_ties_go_to_lower_symbol():
+    # masses 0.5 and 1.5 (in 64ths) alternate, so every remainder ties with
+    # 31 others; the 36 counts left after flooring go to the 32 symbols with
+    # the larger remainder, then to the 4 lowest of the others
+    probs = np.tile([0.5, 1.5], 32)[None] / 64
+    counts = _largest_remainder(probs, 100)[0]
+    want = np.tile([1, 2], 32)
+    want[[1, 3, 5, 7]] += 1
+    assert counts.tolist() == want.tolist()
+
+
+def test_frame_tables_memo_belongs_to_the_model(tiny_model):
+    si = SideInfo((5,), 0)
+    tables, step = frame_tables(tiny_model, si, 32)
+    assert frame_tables(tiny_model, si, 32)[0] is tables
+    assert step == step_from_lambda(lambda_from_q(RateControl(32)))
+    # an equal model object has its own memo, which builds equal tables
+    twin = dataclasses.replace(tiny_model)
+    twin_tables, _ = frame_tables(twin, si, 32)
+    assert twin_tables is not tables and np.array_equal(twin_tables.cum, tables.cum)
+    # a pickled model, as sent to sweep workers, leaves its memo behind
+    assert not hasattr(pickle.loads(pickle.dumps(tiny_model)), "_tables")
 
 
 def _reference_encode(indices, tables):

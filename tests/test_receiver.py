@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tests.conftest import build_model
 from voxfec.channel import LossTrace, gen_bernoulli
 from voxfec.frontend import PcmClip
-from voxfec.packets import FecConfig
+from voxfec.hyperprior import SideInfo
+from voxfec.packets import FecConfig, Packet, parse, serialize
 from voxfec.pipeline import decode_stream, encode_stream, run_receiver, simulate_stream
+from voxfec.rangecoder import Bitstream
 from voxfec.receiver import (
     LostPacket,
     ProtocolError,
@@ -168,19 +173,21 @@ def test_finalize_empty_stream(tiny_model):
 
 
 def test_loss_masks_record(tiny_model):
+    # each emitted frame's path records whether its packet was lost and
+    # whether a copy of its side info survived
     clip, res = encode_for(tiny_model, 40, FEC)
     flags = np.zeros(40, dtype=bool)
     flags[20] = True
     flags[30] = True
     rx = Receiver(tiny_model, ReceiverConfig(FEC))
+    decoded = []
     for t, p in enumerate(res.packets):
-        rx.ingest(LostPacket(t) if flags[t] else p)
-    rx.finalize()
-    assert len(rx.masks) == 40
-    assert not rx.masks[0].y_lost and rx.masks[0].z_fully_available
-    assert rx.masks[20].y_lost and rx.masks[20].z_fully_available
-    assert rx.masks[20].z_stage_masked == (False,)
-    assert rx.masks[30].y_lost
+        decoded += rx.ingest(LostPacket(t) if flags[t] else p)
+    decoded += rx.finalize()[0]
+    assert len(decoded) == 40
+    assert decoded[0].path == "entropy"
+    assert decoded[20].path == "plc_high"
+    assert decoded[30].path in ("plc_high", "plc_low")
 
 
 def test_finalize_flushes_delay_window(tiny_model):
@@ -193,3 +200,97 @@ def test_finalize_flushes_delay_window(tiny_model):
     final, report = rx.finalize()
     assert len(final) == 13
     assert report.frames == 20
+
+
+# A packet can pass its CRC and still be unusable by the receiver's model.
+# Each case below swaps frame 5's packet for such a packet (sent through
+# serialize and parse); the receiver must treat it exactly as a lost packet.
+
+
+@pytest.fixture(scope="module")
+def q0_model():
+    rng = np.random.default_rng(11)
+    return build_model(rng.normal(0.0, 0.2, size=(2000, 8)), q=0, seed=3, d_z=4)
+
+
+def with_packet(packets, t, q_lambda, z_blocks, payload=None):
+    pkt = packets[t]
+    bad = Packet(t, q_lambda, pkt.payload if payload is None else payload, z_blocks)
+    return packets[:t] + [parse(serialize(bad))] + packets[t + 1 :]
+
+
+def assert_treated_as_lost(model, fec, packets, t, clean_packets):
+    flags = np.zeros(len(packets), dtype=bool)
+    flags[t] = True
+    config = ReceiverConfig(fec)
+    got, got_report = run_receiver(packets, None, model, config)
+    want, want_report = run_receiver(clean_packets, trace_from_flags(flags), model, config)
+    assert [d.code.frame_index for d in got] == list(range(len(packets)))
+    assert [d.path for d in got] == [d.path for d in want]
+    for a, b in zip(got, want):
+        assert np.array_equal(a.code.coeffs, b.code.coeffs)
+    assert got_report == want_report
+
+
+def test_rate_index_out_of_range_is_a_loss(tiny_model):
+    clip, res = encode_for(tiny_model, 20, FEC)
+    packets = with_packet(res.packets, 5, 70, res.packets[5].z_blocks)
+    assert packets[5].q_lambda == 70
+    assert_treated_as_lost(tiny_model, FEC, packets, 5, res.packets)
+
+
+def test_more_stages_than_the_model_is_a_loss(tiny_model):
+    clip, res = encode_for(tiny_model, 20, FEC)
+    packets = with_packet(res.packets, 5, 32, ((0, SideInfo((5, 7), 5)),))
+    assert packets[5].z_blocks[0][1].stages == 2 > tiny_model.codebooks.n_stages
+    assert_treated_as_lost(tiny_model, FEC, packets, 5, res.packets)
+
+
+def test_side_info_to_a_model_without_codebooks_is_a_loss(q0_model):
+    fec = FecConfig(0, ())
+    clip, res = encode_for(q0_model, 20, fec)
+    packets = with_packet(res.packets, 5, 32, ((0, SideInfo((5,), 5)),))
+    assert q0_model.codebooks is None
+    assert_treated_as_lost(q0_model, fec, packets, 5, res.packets)
+
+
+@pytest.fixture(scope="module")
+def streams(tiny_model, q0_model):
+    fec0 = FecConfig(0, ())
+    return {
+        1: (tiny_model, FEC, encode_for(tiny_model, 16, FEC)[1].packets),
+        0: (q0_model, fec0, encode_for(q0_model, 16, fec0)[1].packets),
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    model_q=st.sampled_from([0, 1]),
+    q_lambda=st.integers(0, 255),
+    stages=st.integers(0, 8),
+    t=st.integers(0, 15),
+    delay=st.sampled_from([None, 0, 1]),
+    index=st.integers(0, 1023),
+    payload=st.one_of(st.none(), st.binary(max_size=8)),
+)
+def test_any_crc_valid_packet_keeps_the_stream_going(
+    streams, model_q, q_lambda, stages, t, delay, index, payload
+):
+    model, fec, clean = streams[model_q]
+    blocks = [(0, SideInfo((index,) * stages, t))]
+    if t >= 1:
+        blocks.append((1, SideInfo((1023 - index,) * stages, t - 1)))
+    if payload is not None:
+        payload = Bitstream(payload, 8 * len(payload))
+    packets = with_packet(clean, t, q_lambda, tuple(blocks), payload)
+    config = ReceiverConfig(fec, delay)
+    decoded, report = run_receiver(packets, None, model, config)
+    assert [d.code.frame_index for d in decoded] == list(range(16))
+    assert report.frames == 16
+    assert report.entropy_count + report.plc_high_count + report.plc_low_count == 16
+    # every other frame arrived with its own side info and decodes as if
+    # nothing had happened
+    reference, _ = run_receiver(clean, None, model, config)
+    for s, (a, b) in enumerate(zip(decoded, reference)):
+        if s != t:
+            assert a.path == "entropy" and np.array_equal(a.code.coeffs, b.code.coeffs), s
