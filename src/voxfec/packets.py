@@ -312,7 +312,14 @@ def read_container(path) -> tuple[StreamHeader, list[Packet]]:
         off += 4
         if off + plen > len(blob):
             raise ValueError("truncated container")
-        packets.append(parse(blob[off : off + plen]))
+        packet = parse(blob[off : off + plen])
+        for _, si in packet.z_blocks:
+            if si.stages != q:
+                raise ValueError(
+                    f"packet {packet.frame_index} carries {si.stages}-stage side info, "
+                    f"container header says {q}"
+                )
+        packets.append(packet)
         off += plen
     if len(packets) != frame_count:
         raise ValueError(

@@ -89,10 +89,10 @@ def run_receiver(
             f"trace has {len(trace)} entries for {len(packets)} packets"
         )
     rx = Receiver(model, config)
+    lost = trace.flags.tolist() if trace is not None else [False] * len(packets)
     decoded: list[DecodedFrame] = []
     for t, pkt in enumerate(packets):
-        lost = bool(trace.flags[t]) if trace is not None else False
-        decoded.extend(rx.ingest(LostPacket(t) if lost else pkt))
+        decoded.extend(rx.ingest(LostPacket(t) if lost[t] else pkt))
     final, report = rx.finalize()
     decoded.extend(final)
     return decoded, report

@@ -212,17 +212,20 @@ def encode_frame(yq: QuantizedLatent, tables: CdfTable) -> Bitstream:
     return Bitstream((out << pad).to_bytes((n_out + pad) >> 3, "big"), n_out)
 
 
-def decode_frame(bits: Bitstream, tables: CdfTable, d_y: int) -> QuantizedLatent:
+def decode_frame(
+    bits: Bitstream, tables: CdfTable, d_y: int, frame_index: int = 0
+) -> QuantizedLatent:
     """Exact inverse of encode_frame; raises DecodeFailure on a bad stream.
+    The result carries `frame_index`.
 
     Only the first `bits.bit_length` bits are read: every bit past them, in
     the final byte or beyond it, decodes as zero.
     """
-    if d_y != tables.n_dims:
-        raise ValueError(f"expected {d_y} dims, tables have {tables.n_dims}")
+    if d_y != tables.rows.size:
+        raise ValueError(f"expected {d_y} dims, tables have {tables.rows.size}")
     half = tables.half_width
-    esc = tables.escape_symbol
-    dim_rows = iter(tables.dim_rows())
+    esc = 2 * half + 1
+    dim_rows = tables.dim_rows()
     out = []
 
     data = bits.data
@@ -235,30 +238,34 @@ def decode_frame(bits: Bitstream, tables: CdfTable, d_y: int) -> QuantizedLatent
     # the code by the same x -> 2x - k, so the offset just takes in the
     # next stream bits
     offset = stream >> avail if avail >= 0 else stream << -avail
+    dim = 0  # dimensions whose symbol is decoded
     raw = False  # this step holds the 16 raw bits of an escaped symbol
     while True:
         rng = high - low + 1
         # the offset stays below rng, so value < TOTAL
         value = (((offset + 1) << PRECISION) - 1) // rng
+        # [c, c_next) is the decoded slot out of TOTAL
         if raw:
-            c, f = value, 1
+            c = value
+            c_next = value + 1
             out.append(value - 65536 if value >= 32768 else value)
             raw = False
-        elif len(out) < d_y:
-            row = next(dim_rows)
+        elif dim < d_y:
+            row = dim_rows[dim]
+            dim += 1
             s = bisect_right(row, value) - 1
             c = row[s]
-            f = row[s + 1] - c
+            c_next = row[s + 1]
             if s == esc:
                 raw = True
             else:
                 out.append(s - half)
         elif value >> (PRECISION - GUARD_BITS) == GUARD_VALUE:
-            return QuantizedLatent(np.array(out, dtype=np.int64), 0)
+            return QuantizedLatent(np.array(out, dtype=np.int64), frame_index)
         else:
             raise DecodeFailure("corrupt or truncated frame payload")
         gap = (rng * c) >> PRECISION
-        high = low + ((rng * (c + f)) >> PRECISION) - 1
+        high = low + ((rng * c_next) >> PRECISION) - 1
         low += gap
         offset -= gap
         n = _STATE_BITS - (low ^ high).bit_length()

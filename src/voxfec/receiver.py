@@ -20,6 +20,7 @@ lost. Every frame always yields output, in order and gap-free.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,13 +51,13 @@ class ReceiverConfig:
     fec: FecConfig
     playout_delay: int | None = None
 
+    def __post_init__(self):
+        if self.playout_delay is not None and self.playout_delay < 0:
+            raise ValueError("playout delay must be non-negative")
+
     @property
     def delay(self) -> int:
-        if self.playout_delay is None:
-            return self.fec.max_offset
-        if self.playout_delay < 0:
-            raise ValueError("playout delay must be non-negative")
-        return self.playout_delay
+        return self.fec.max_offset if self.playout_delay is None else self.playout_delay
 
 
 @dataclass(frozen=True)
@@ -85,11 +86,13 @@ class Receiver:
     ):
         self.model = model
         self.config = config
+        self._delay = config.delay
         self._cache: dict[int, SideInfo] = {}
-        self._pending: dict[int, Packet | None] = {}
+        # one entry per event not yet emitted, from frame _next_emit on;
+        # None for a loss or an unusable packet
+        self._pending: deque[Packet | None] = deque()
         self._next_event = 0
         self._next_emit = 0
-        self._newest = -1
         self._last_code = np.zeros(model.d_y)
         # without codebooks, no side info is usable, not even zero stages
         self._max_stages = -1 if model.codebooks is None else model.codebooks.n_stages
@@ -103,7 +106,6 @@ class Receiver:
                 f"out-of-order event: frame {t}, expected {self._next_event}"
             )
         self._next_event += 1
-        self._newest = t
         if isinstance(event, Packet) and self._usable(event):
             for off, si in event.z_blocks:
                 target = t - off
@@ -111,18 +113,18 @@ class Receiver:
                     continue  # too late to matter; frame already emitted
                 if off == 0 or target not in self._cache:
                     self._cache[target] = si
-            self._pending[t] = event
+            self._pending.append(event)
         else:
-            self._pending[t] = None
+            self._pending.append(None)
         emitted = []
-        while self._next_emit <= self._newest - self.config.delay:
+        while self._next_emit <= t - self._delay:
             emitted.append(self._emit_next())
         return emitted
 
     def finalize(self) -> tuple[list[DecodedFrame], ReceiverReport]:
         """Flush frames still inside the delay window and report path counts."""
         emitted = []
-        while self._next_emit <= self._newest:
+        while self._pending:
             emitted.append(self._emit_next())
         counts = self._counts
         lost = counts[PATH_PLC_HIGH] + counts[PATH_PLC_LOW]
@@ -149,26 +151,26 @@ class Receiver:
     def _emit_next(self) -> DecodedFrame:
         model = self.model
         t = self._next_emit
-        packet = self._pending.pop(t, None)
+        packet = self._pending.popleft()
         si = self._cache.pop(t, None)
         code = None
         if packet is not None:
             tables, step = frame_tables(model, si, packet.q_lambda)
             try:
-                yq = decode_frame(packet.payload, tables, model.d_y)
-                code = dequantize(yq, step).coeffs
+                code = dequantize(decode_frame(packet.payload, tables, model.d_y, t), step)
                 path = PATH_ENTROPY
             except DecodeFailure:
                 pass  # fall through to concealment
         if code is None:
             if si is not None:
                 mu = hyper_synthesis(rvq_decode(si, model.codebooks), model).mu
-                code = apply_confidence(mu, True, model.tokens)
+                y = apply_confidence(mu, True, model.tokens)
                 path = PATH_PLC_HIGH
             else:
-                code = apply_confidence(model.rho * self._last_code, False, model.tokens)
+                y = apply_confidence(model.rho * self._last_code, False, model.tokens)
                 path = PATH_PLC_LOW
-        self._last_code = code
-        self._next_emit += 1
+            code = LatentCode(y, t)
+        self._last_code = code.coeffs
+        self._next_emit = t + 1
         self._counts[path] += 1
-        return DecodedFrame(LatentCode(code, t), path)
+        return DecodedFrame(code, path)

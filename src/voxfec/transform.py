@@ -51,7 +51,7 @@ class LatentCode:
     def __post_init__(self):
         coeffs = np.asarray(self.coeffs, dtype=np.float64)
         object.__setattr__(self, "coeffs", coeffs)
-        if not np.all(np.isfinite(coeffs)):
+        if not np.isfinite(coeffs).all():
             raise ValueError("non-finite latent code")
 
 

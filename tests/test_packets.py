@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voxfec.hyperprior import SideInfo
 from voxfec.packets import (
@@ -218,3 +220,53 @@ def test_container_rejects_garbage(tmp_path):
     path.write_bytes(b"whatever this is")
     with pytest.raises(ValueError, match="not a stream container"):
         read_container(path)
+
+
+def test_container_rejects_stage_count_other_than_header(tmp_path):
+    packets = build_stream(20, FecConfig(2, (1, 13)))
+    path = tmp_path / "s.vxs"
+    for header_fec in (FecConfig(1, (1, 13)), FecConfig(3, (1, 13)), FecConfig(0, ())):
+        write_container(path, StreamHeader(0, 7, header_fec, 6400, 20), packets)
+        with pytest.raises(ValueError, match="2-stage side info"):
+            read_container(path)
+    # a q = 0 header matches packets without side info
+    bare = build_stream(20, FecConfig(0, ()))
+    header = StreamHeader(0, 7, FecConfig(0, ()), 6400, 20)
+    write_container(path, header, bare)
+    assert read_container(path) == (header, bare)
+
+
+@st.composite
+def packets(draw):
+    """Well-formed packets: any header values, 0..8 stages, an offset-0
+    block first, up to four distinct backup offsets, any payload."""
+    t = draw(st.integers(0, (1 << 32) - 1))
+    q = draw(st.integers(0, 8))
+    blocks = ()
+    if draw(st.booleans()):
+        offsets = draw(st.lists(st.integers(1, 255), unique=True, max_size=4))
+        index = st.integers(0, 1023)
+        blocks = tuple(
+            (off, SideInfo(tuple(draw(st.lists(index, min_size=q, max_size=q))), t - off))
+            for off in [0, *offsets]
+        )
+    nbits = draw(st.integers(0, 400))
+    nbytes = (nbits + 7) // 8
+    data = draw(st.binary(min_size=nbytes, max_size=nbytes))
+    return Packet(t, draw(st.integers(0, 255)), Bitstream(data, nbits), blocks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=packets())
+def test_parse_inverts_serialize(p):
+    assert parse(serialize(p)) == p
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=packets(), data=st.data())
+def test_parse_rejects_any_single_bit_flip(p, data):
+    blob = bytearray(serialize(p))
+    bit = data.draw(st.integers(0, 8 * len(blob) - 1))
+    blob[bit // 8] ^= 0x80 >> (bit % 8)
+    with pytest.raises(ValueError):
+        parse(bytes(blob))

@@ -5,6 +5,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from voxfec.hyperprior import GaussianParams, SideInfo
@@ -424,3 +426,29 @@ def test_wire_format_digest():
     assert digest.hexdigest() == (
         "9fca1af02d638274ad861c5a81f70a01951543206e729ab9c3f08a33edbc2a47"
     )
+
+
+@st.composite
+def coded_frames(draw):
+    """Random Gaussian tables, step and half width, and symbols of which
+    some fall outside the alphabet and escape."""
+    d = draw(st.integers(1, 24))
+    half = draw(st.integers(1, 300))
+    floats = st.floats(-4 * half, 4 * half, allow_nan=False)
+    mu = np.array(draw(st.lists(floats, min_size=d, max_size=d)))
+    sigma = np.array(draw(st.lists(st.floats(1e-3, 2.0 * half), min_size=d, max_size=d)))
+    step = draw(st.floats(1e-3, 4.0))
+    inside = st.integers(-half, half)
+    escaped = st.integers(-32768, 32767).filter(lambda v: abs(v) > half)
+    vals = draw(st.lists(st.one_of(inside, escaped), min_size=d, max_size=d))
+    return build_cdf(GaussianParams(mu * step, sigma * step), step, half), np.array(vals)
+
+
+@settings(max_examples=200, deadline=None)
+@given(frame=coded_frames(), frame_index=st.integers(0, 1 << 20))
+def test_random_tables_round_trip(frame, frame_index):
+    tables, vals = frame
+    bits = encode_frame(QuantizedLatent(vals, 0), tables)
+    back = decode_frame(bits, tables, vals.size, frame_index)
+    assert np.array_equal(back.indices, vals)
+    assert back.frame_index == frame_index

@@ -9,13 +9,14 @@ from voxfec.frontend import PcmClip
 from voxfec.hyperprior import SideInfo
 from voxfec.packets import FecConfig, Packet, parse, serialize
 from voxfec.pipeline import decode_stream, encode_stream, run_receiver, simulate_stream
-from voxfec.rangecoder import Bitstream
+from voxfec.rangecoder import Bitstream, DecodeFailure, decode_frame, frame_tables
 from voxfec.receiver import (
     LostPacket,
     ProtocolError,
     Receiver,
     ReceiverConfig,
 )
+from voxfec.transform import LatentCode, dequantize
 
 
 def make_clip(n_samples, seed=0, scale=3000):
@@ -96,6 +97,14 @@ def test_cold_start_loss_is_low_and_zero(tiny_model):
                               ReceiverConfig(FecConfig(1, ()), playout_delay=0))
     assert decoded[0].path == "plc_low"
     assert np.all(decoded[0].code.coeffs == 0.0)  # no history, zero tokens
+
+
+def test_negative_playout_delay_rejected_when_built():
+    with pytest.raises(ValueError, match="non-negative"):
+        ReceiverConfig(FEC, playout_delay=-1)
+    assert ReceiverConfig(FEC).delay == 13  # the largest backup offset
+    assert ReceiverConfig(FEC, playout_delay=0).delay == 0
+    assert ReceiverConfig(FecConfig(1, ())).delay == 0
 
 
 def test_out_of_order_rejected(tiny_model):
@@ -294,3 +303,60 @@ def test_any_crc_valid_packet_keeps_the_stream_going(
     for s, (a, b) in enumerate(zip(decoded, reference)):
         if s != t:
             assert a.path == "entropy" and np.array_equal(a.code.coeffs, b.code.coeffs), s
+
+
+# Every path through the receiver, in one 60-frame stream: frame 10 lost
+# with backups (plc_high), frames 20..33 lost, one beyond the offset-13
+# reach (plc_low), and frame 45 received with a payload that fails to decode.
+DECODE_FAILURE_AT = 45
+
+
+@pytest.fixture(scope="module")
+def every_path(tiny_model):
+    clip, res = encode_for(tiny_model, 60, FEC)
+    t = DECODE_FAILURE_AT
+    bad = Bitstream(b"\xff\x00", 16)
+    tables, _ = frame_tables(tiny_model, res.packets[t].z_blocks[0][1], 32)
+    with pytest.raises(DecodeFailure):
+        decode_frame(bad, tables, tiny_model.d_y)
+    packets = with_packet(res.packets, t, 32, res.packets[t].z_blocks, bad)
+    flags = np.zeros(60, dtype=bool)
+    flags[10] = True
+    flags[20:34] = True
+    return packets, trace_from_flags(flags)
+
+
+def test_every_frame_carries_its_own_index(tiny_model, every_path):
+    packets, trace = every_path
+    for delay in (None, 0, 1):
+        decoded, _ = run_receiver(packets, trace, tiny_model, ReceiverConfig(FEC, delay))
+        assert [d.code.frame_index for d in decoded] == list(range(60))
+        assert {d.path for d in decoded} == {"entropy", "plc_high", "plc_low"}
+        assert decoded[DECODE_FAILURE_AT].path == "plc_high"
+
+
+def test_entropy_frames_are_the_dequantized_payload(tiny_model, every_path):
+    packets, trace = every_path
+    decoded, report = run_receiver(packets, trace, tiny_model, ReceiverConfig(FEC))
+    entropy = [d for d in decoded if d.path == "entropy"]
+    assert len(entropy) == report.entropy_count == 60 - 15 - 1
+    for d in entropy:
+        pkt = packets[d.code.frame_index]
+        tables, step = frame_tables(tiny_model, pkt.z_blocks[0][1], pkt.q_lambda)
+        want = dequantize(decode_frame(pkt.payload, tables, tiny_model.d_y), step)
+        assert np.array_equal(d.code.coeffs, want.coeffs)
+
+
+def test_each_emitted_frame_is_validated_once(tiny_model, every_path, monkeypatch):
+    # one LatentCode, so one finiteness check, per emitted frame on every path
+    checks = []
+    post_init = LatentCode.__post_init__
+
+    def counted(self):
+        checks.append(self.frame_index)
+        post_init(self)
+
+    monkeypatch.setattr(LatentCode, "__post_init__", counted)
+    packets, trace = every_path
+    run_receiver(packets, trace, tiny_model, ReceiverConfig(FEC))
+    assert checks == list(range(60))

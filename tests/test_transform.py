@@ -134,3 +134,18 @@ def test_quantization_error_bound():
         y = LatentCode(rng.normal(0, 1, size=64), 0)
         back = dequantize(quantize(y, step), step)
         assert np.max(np.abs(back.coeffs - y.coeffs)) <= step / 2 + 1e-15
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_latent_code_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        LatentCode(np.array([0.0, bad, 1.0]), 0)
+
+
+def test_dequantize_validates_its_output():
+    from voxfec.transform import QuantizedLatent
+
+    # finite indices and step whose product overflows to infinity
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+        dequantize(QuantizedLatent(np.array([1, 1 << 40]), 0), 1e300)
+    assert dequantize(QuantizedLatent(np.array([2]), 7), 0.5).frame_index == 7
