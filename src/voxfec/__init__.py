@@ -7,7 +7,6 @@ loss channel models, and an evaluation harness.
 """
 
 from .channel import (
-    BernoulliParams,
     LossTrace,
     Markov3Params,
     PRESETS,
@@ -55,7 +54,6 @@ from .packets import (
     read_container,
     redundancy_bitrate,
     serialize,
-    total_sideinfo_bitrate,
     write_container,
 )
 from .pipeline import decode_stream, encode_stream, run_receiver, simulate_stream

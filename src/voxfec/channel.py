@@ -30,7 +30,6 @@ class LossTrace:
 
     flags: np.ndarray
     origin: str
-    seed: int | None = None
 
     def __post_init__(self):
         flags = np.asarray(self.flags, dtype=bool)
@@ -46,15 +45,6 @@ class LossTrace:
     @property
     def loss_rate(self) -> float:
         return float(self.flags.mean())
-
-
-@dataclass(frozen=True)
-class BernoulliParams:
-    p: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"loss probability {self.p} out of range")
 
 
 @dataclass(frozen=True)
@@ -84,11 +74,12 @@ class Markov3Params:
 
 def gen_bernoulli(p: float, length: int, seed: int) -> LossTrace:
     """i.i.d. losses with probability p."""
-    BernoulliParams(p)
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"loss probability {p} out of range")
     if length < 1:
         raise ValueError("trace length must be positive")
     u = uniforms(derive(seed, _TAG_BERNOULLI), length)
-    return LossTrace(u < p, ORIGIN_BERNOULLI, seed)
+    return LossTrace(u < p, ORIGIN_BERNOULLI)
 
 
 def gen_markov3(params: Markov3Params, length: int, seed: int) -> LossTrace:
@@ -107,7 +98,7 @@ def gen_markov3(params: Markov3Params, length: int, seed: int) -> LossTrace:
         r = u[2 * t + 1]
         row = cum_rows[state]
         state = 0 if r < row[0] else (1 if r < row[1] else 2)
-    return LossTrace(flags, ORIGIN_MARKOV3, seed)
+    return LossTrace(flags, ORIGIN_MARKOV3)
 
 
 def stationary_loss_rate(params: Markov3Params) -> float:

@@ -106,7 +106,7 @@ def _collect_wavs(path: str) -> list[Path]:
     return [p]
 
 
-def _trace_for(args, n_packets: int, seed: int):
+def _trace_for(args, length: int, seed: int):
     channel = _merged(args, "channel", "bernoulli")
     if channel == "none":
         return None
@@ -114,7 +114,7 @@ def _trace_for(args, n_packets: int, seed: int):
         p = float(_merged(args, "loss_rate", 0.0))
         if p == 0.0:
             return None
-        return gen_bernoulli(p, n_packets, seed)
+        return gen_bernoulli(p, length, seed)
     if channel == "markov":
         raw = _merged(args, "markov_params")
         if raw is not None:
@@ -131,13 +131,13 @@ def _trace_for(args, n_packets: int, seed: int):
             params = PRESETS[preset]
             label = f"preset {preset}"
         print(f"{label}: analytic loss rate {_fmt(stationary_loss_rate(params))}")
-        return gen_markov3(params, n_packets, seed)
+        return gen_markov3(params, length, seed)
     if channel == "trace":
         path = _require(args, "trace_file")
         tr = load_trace(path)
-        if len(tr) < n_packets:
+        if len(tr) < length:
             raise SystemExit(
-                f"trace has {len(tr)} entries, stream needs {n_packets}"
+                f"trace has {len(tr)} entries, stream needs {length}"
             )
         return tr
     raise SystemExit(f"unknown channel {channel!r}")

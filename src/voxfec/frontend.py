@@ -24,15 +24,10 @@ class PcmClip:
     """Mono PCM16 audio at the fixed system sample rate."""
 
     samples: np.ndarray
-    sample_rate: int = SAMPLE_RATE
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.int16)
         object.__setattr__(self, "samples", samples)
-        if self.sample_rate != SAMPLE_RATE:
-            raise ValueError(
-                f"unsupported sample rate {self.sample_rate}, expected {SAMPLE_RATE}"
-            )
         if samples.size == 0:
             raise ValueError("empty input")
 
@@ -41,7 +36,7 @@ class PcmClip:
 
     @property
     def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate
+        return self.samples.size / SAMPLE_RATE
 
 
 @dataclass(frozen=True)
@@ -122,5 +117,5 @@ def write_wav(path, clip: PcmClip) -> None:
     with wave.open(str(path), "wb") as w:
         w.setnchannels(1)
         w.setsampwidth(2)
-        w.setframerate(clip.sample_rate)
+        w.setframerate(SAMPLE_RATE)
         w.writeframes(clip.samples.astype("<i2").tobytes())

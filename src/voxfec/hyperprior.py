@@ -140,7 +140,6 @@ class CodecModel:
     sigma_table: np.ndarray
     tokens: ConfidenceTokens
     codebooks: RvqCodebooks | None
-    version: int = MODEL_VERSION
 
     def __post_init__(self):
         object.__setattr__(
@@ -328,7 +327,7 @@ def _model_body(model: CodecModel) -> bytes:
         MODEL_MAGIC,
         struct.pack(
             "<HHHHB",
-            model.version,
+            MODEL_VERSION,
             model.d_l,
             model.d_y,
             model.d_z,
@@ -366,6 +365,8 @@ def load_model(path) -> CodecModel:
         raise ValueError("corrupt model file (checksum mismatch)")
     off = 4
     version, d_l, d_y, d_z, q = struct.unpack_from("<HHHHB", body, off)
+    if version != MODEL_VERSION:
+        raise ValueError(f"unsupported model version {version}")
     off += 9
     sigma_min, rho, kappa = struct.unpack_from("<ddd", body, off)
     off += 24
@@ -400,5 +401,4 @@ def load_model(path) -> CodecModel:
         sigma_table=sigma_table,
         tokens=tokens,
         codebooks=books,
-        version=version,
     )

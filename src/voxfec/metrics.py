@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frontend import FRAME_SAMPLES, PCM_SCALE, PcmClip
+from .frontend import FRAME_SAMPLES, PCM_SCALE, SAMPLE_RATE, PcmClip
 
 SNR_CAP_DB = 99.0
 WINDOW_SECONDS = 3.0
@@ -45,7 +45,7 @@ def compute_metrics(ref: PcmClip, test: PcmClip) -> WaveMetrics:
     mse = float(np.mean(err * err))
     snr = _snr_db(float(np.sum(r * r)), float(np.sum(err * err)))
 
-    win = int(WINDOW_SECONDS * ref.sample_rate)
+    win = int(WINDOW_SECONDS * SAMPLE_RATE)
     hop = FRAME_SAMPLES
     n = r.size
     if n <= win:

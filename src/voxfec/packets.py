@@ -88,8 +88,6 @@ class BitrateReport:
     sideinfo_kbps: float
     redundant_kbps: float
     total_kbps: float
-    n_packets: int
-    duration_s: float
 
 
 def build_packet(
@@ -211,11 +209,6 @@ def redundancy_bitrate(cfg: FecConfig) -> float:
     return 0.5 * cfg.q * cfg.n_backups
 
 
-def total_sideinfo_bitrate(cfg: FecConfig) -> float:
-    """Steady-state side-info bitrate including the current copy."""
-    return 0.5 * cfg.q * (cfg.n_backups + 1)
-
-
 def prob_all_copies_lost(p: float, n: int) -> float:
     """Probability that all n backup copies are lost on an i.i.d. channel."""
     if not 0.0 <= p <= 1.0:
@@ -250,8 +243,6 @@ def account_stream(packets: Sequence[Packet], frame_rate: int = FRAME_RATE) -> B
         sideinfo_kbps=si_bits / duration / 1000.0,
         redundant_kbps=red_bits / duration / 1000.0,
         total_kbps=(src_bits + si_bits) / duration / 1000.0,
-        n_packets=n,
-        duration_s=duration,
     )
 
 

@@ -70,15 +70,8 @@ class CdfTable:
     half_width: int = HALF_WIDTH
 
     @property
-    def n_dims(self) -> int:
-        return int(self.rows.size)
-
-    @property
     def escape_symbol(self) -> int:
         return 2 * self.half_width + 1
-
-    def row(self, dim: int) -> np.ndarray:
-        return self.cum[self.rows[dim]]
 
     def dim_rows(self) -> list[list[int]]:
         # plain-int row of each dimension for the decoder loop, the shared
@@ -155,8 +148,8 @@ def build_cdf(theta: GaussianParams, step: float, half_width: int = HALF_WIDTH) 
 def encode_frame(yq: QuantizedLatent, tables: CdfTable) -> Bitstream:
     """Range-code one frame of quantizer indices against the tables."""
     indices = yq.indices
-    if indices.size != tables.n_dims:
-        raise ValueError(f"frame has {indices.size} dims, tables {tables.n_dims}")
+    if indices.size != tables.rows.size:
+        raise ValueError(f"frame has {indices.size} dims, tables {tables.rows.size}")
     half = tables.half_width
     esc = tables.escape_symbol
     inside = (indices >= -half) & (indices <= half)

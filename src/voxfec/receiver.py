@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hyperprior import CodecModel, SideInfo, apply_confidence, hyper_synthesis, rvq_decode
+from .hyperprior import CodecModel, SideInfo, apply_confidence, rvq_decode
 from .packets import FecConfig, Packet
 from .rangecoder import DecodeFailure, decode_frame, frame_tables
 from .transform import Q_NUM, LatentCode, dequantize
@@ -85,7 +85,6 @@ class Receiver:
         config: ReceiverConfig,
     ):
         self.model = model
-        self.config = config
         self._delay = config.delay
         self._cache: dict[int, SideInfo] = {}
         # one entry per event not yet emitted, from frame _next_emit on;
@@ -163,7 +162,7 @@ class Receiver:
                 pass  # fall through to concealment
         if code is None:
             if si is not None:
-                mu = hyper_synthesis(rvq_decode(si, model.codebooks), model).mu
+                mu = np.repeat(rvq_decode(si, model.codebooks), model.block)
                 y = apply_confidence(mu, True, model.tokens)
                 path = PATH_PLC_HIGH
             else:

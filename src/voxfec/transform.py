@@ -25,20 +25,13 @@ STEP_REF = 1.0 / 1024.0
 
 @dataclass(frozen=True)
 class RateControl:
-    """Quantized rate index and the schedule it indexes into."""
+    """Quantized rate index into the Q_NUM-point multiplier schedule."""
 
     q_lambda: int
-    q_num: int = Q_NUM
-    lambda_min: float = LAMBDA_MIN
-    lambda_max: float = LAMBDA_MAX
 
     def __post_init__(self):
-        if not 0 <= self.q_lambda < self.q_num:
-            raise ValueError(
-                f"invalid rate index {self.q_lambda}, expected 0..{self.q_num - 1}"
-            )
-        if not self.lambda_min < self.lambda_max:
-            raise ValueError("lambda_min must be below lambda_max")
+        if not 0 <= self.q_lambda < Q_NUM:
+            raise ValueError(f"invalid rate index {self.q_lambda}, expected 0..{Q_NUM - 1}")
 
 
 @dataclass(frozen=True)
@@ -68,10 +61,9 @@ class QuantizedLatent:
 
 def lambda_from_q(rc: RateControl) -> float:
     """Rate multiplier for a rate index: log-linear between the endpoints."""
-    frac = rc.q_lambda / (rc.q_num - 1)
+    frac = rc.q_lambda / (Q_NUM - 1)
     return math.exp(
-        math.log(rc.lambda_min)
-        + frac * (math.log(rc.lambda_max) - math.log(rc.lambda_min))
+        math.log(LAMBDA_MIN) + frac * (math.log(LAMBDA_MAX) - math.log(LAMBDA_MIN))
     )
 
 

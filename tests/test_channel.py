@@ -19,6 +19,12 @@ def test_bernoulli_degenerate():
     assert gen_bernoulli(1.0, 1000, seed=1).flags.all()
 
 
+@pytest.mark.parametrize("p", [-0.1, 1.5, float("nan")])
+def test_bernoulli_rejects_probability_outside_unit_interval(p):
+    with pytest.raises(ValueError, match="out of range"):
+        gen_bernoulli(p, 10, seed=1)
+
+
 def test_bernoulli_rate_within_binomial_bounds():
     n = 100_000
     p = 0.3

@@ -1,4 +1,6 @@
+import struct
 import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -213,6 +215,18 @@ def test_model_file_rejects_corruption(tmp_path, tiny_model):
     path.write_bytes(b"XXXX" + bytes(blob[4:]))
     with pytest.raises(ValueError, match="not a codec model"):
         load_model(path)
+
+
+def test_model_file_rejects_other_versions(tmp_path, tiny_model):
+    path = tmp_path / "m.vxm"
+    save_model(path, tiny_model)
+    body = bytearray(path.read_bytes()[:-4])
+    for version in (0, 2, 7):
+        # a well-formed file in every other respect, its CRC recomputed
+        struct.pack_into("<H", body, 4, version)
+        path.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+        with pytest.raises(ValueError, match=f"unsupported model version {version}"):
+            load_model(path)
 
 
 def test_encoder_decoder_theta_bit_identical(tiny_model):

@@ -14,7 +14,6 @@ from voxfec.packets import (
     read_container,
     redundancy_bitrate,
     serialize,
-    total_sideinfo_bitrate,
     write_container,
     StreamHeader,
 )
@@ -139,7 +138,6 @@ def test_redundancy_bitrate_formula():
     assert redundancy_bitrate(FecConfig(1, (1,))) == 0.5
     assert redundancy_bitrate(FecConfig(6, (1,))) == 3.0
     assert redundancy_bitrate(FecConfig(0, ())) == 0.0
-    assert total_sideinfo_bitrate(FecConfig(2, (1, 13))) == 3.0
 
 
 def test_prob_all_copies_lost():
@@ -160,7 +158,7 @@ def test_account_stream_steady_state_exact():
         steady = packets[cfg.max_offset :]
         report = account_stream(steady, cfg.frame_rate)
         assert report.redundant_kbps == redundancy_bitrate(cfg)
-        assert report.sideinfo_kbps == total_sideinfo_bitrate(cfg)
+        assert report.sideinfo_kbps == 0.5 * q * (n + 1)
 
 
 def test_account_stream_startup_undercounts():
