@@ -153,6 +153,10 @@ class CodecModel:
             raise ValueError("sigma_table must have one entry per latent dimension")
         if self.q > 0 and (self.codebooks is None or self.codebooks.n_stages < self.q):
             raise ValueError(f"model requires {self.q} codebook stages")
+        if self.codebooks is not None and self.codebooks.d_z != self.d_z:
+            raise ValueError(
+                f"codebooks have dimension {self.codebooks.d_z}, model d_z {self.d_z}"
+            )
 
     @property
     def block(self) -> int:

@@ -73,14 +73,14 @@ class CdfTable:
     def escape_symbol(self) -> int:
         return 2 * self.half_width + 1
 
-    def dim_rows(self) -> list[list[int]]:
-        # plain-int row of each dimension for the decoder loop, the shared
-        # rows built once per table
+    def dim_rows(self) -> list[memoryview]:
+        # each dimension's row as a zero-copy view of `cum` for the decoder
+        # loop, one view per shared row, built once per table
         try:
             return self._dim_rows  # type: ignore[attr-defined]
         except AttributeError:
-            lists = self.cum.tolist()
-            dim_rows = [lists[r] for r in self.rows.tolist()]
+            views = [memoryview(row) for row in self.cum]
+            dim_rows = [views[r] for r in self.rows.tolist()]
             object.__setattr__(self, "_dim_rows", dim_rows)
             return dim_rows
 
@@ -89,13 +89,23 @@ def _largest_remainder(probs: np.ndarray, budget: int) -> np.ndarray:
     """Integer allocation of `budget` proportional to rows of `probs`."""
     scaled = probs * budget
     base = np.floor(scaled)
-    # symbols by falling remainder, ties to the lower symbol
-    order = np.argsort(base - scaled, axis=1, kind="stable")
+    rem = scaled - base
     base = base.astype(np.int64)
     deficit = budget - base.sum(axis=1)
-    # rank mask: the first `deficit` ranks of each row get one more count
-    ranked = np.arange(order.shape[1]) < deficit[:, None]
-    base[np.nonzero(ranked)[0], order[ranked]] += 1
+    # each row's spare counts go to the remainders at or above its
+    # deficit-th largest; a row without deficit reads its largest
+    n = rem.shape[1]
+    ranks = np.minimum(n - deficit, n - 1)
+    threshold = np.sort(rem, axis=1)[np.arange(rem.shape[0]), ranks][:, None]
+    take = rem >= threshold
+    surplus = take.sum(axis=1) - deficit
+    if surplus.any():
+        # more ties at the threshold than spare counts: the lowest tied
+        # symbols take them
+        tied = rem == threshold
+        keep = (tied.sum(axis=1) - surplus)[:, None]
+        take &= ~tied | (np.cumsum(tied, axis=1) <= keep)
+    base += take
     return base
 
 
@@ -218,7 +228,6 @@ def decode_frame(
         raise ValueError(f"expected {d_y} dims, tables have {tables.rows.size}")
     half = tables.half_width
     esc = 2 * half + 1
-    dim_rows = tables.dim_rows()
     out = []
 
     data = bits.data
@@ -231,49 +240,47 @@ def decode_frame(
     # the code by the same x -> 2x - k, so the offset just takes in the
     # next stream bits
     offset = stream >> avail if avail >= 0 else stream << -avail
-    dim = 0  # dimensions whose symbol is decoded
-    raw = False  # this step holds the 16 raw bits of an escaped symbol
-    while True:
+    for row in tables.dim_rows():
         rng = high - low + 1
         # the offset stays below rng, so value < TOTAL
         value = (((offset + 1) << PRECISION) - 1) // rng
+        s = bisect_right(row, value) - 1
         # [c, c_next) is the decoded slot out of TOTAL
-        if raw:
-            c = value
-            c_next = value + 1
-            out.append(value - 65536 if value >= 32768 else value)
-            raw = False
-        elif dim < d_y:
-            row = dim_rows[dim]
-            dim += 1
-            s = bisect_right(row, value) - 1
-            c = row[s]
-            c_next = row[s + 1]
-            if s == esc:
-                raw = True
-            else:
-                out.append(s - half)
-        elif value >> (PRECISION - GUARD_BITS) == GUARD_VALUE:
-            return QuantizedLatent(np.array(out, dtype=np.int64), frame_index)
-        else:
-            raise DecodeFailure("corrupt or truncated frame payload")
-        gap = (rng * c) >> PRECISION
-        high = low + ((rng * c_next) >> PRECISION) - 1
-        low += gap
-        offset -= gap
-        n = _STATE_BITS - (low ^ high).bit_length()
-        if n:
-            low = (low << n) & _MASK
-            high = ((high << n) & _MASK) | ((1 << n) - 1)
-        if low >= _QUARTER and high < _THREE_QUARTERS:
-            m = _STATE_BITS - 1 - ((low & ~high) ^ _LOW).bit_length()
-            low = (low << m) & _LOW
-            high = ((high << m) & _LOW) | _TOP | ((1 << m) - 1)
-            n += m
-        if n:
-            avail -= n
-            word = stream >> avail if avail >= 0 else stream << -avail
-            offset = (offset << n) | (word & ((1 << n) - 1))
+        c = row[s]
+        c_next = row[s + 1]
+        symbol = s - half
+        # one pass per coding step: two for an escaped symbol, whose 16 raw
+        # bits follow its escape slot as one slot of TOTAL
+        while True:
+            gap = (rng * c) >> PRECISION
+            high = low + ((rng * c_next) >> PRECISION) - 1
+            low += gap
+            offset -= gap
+            n = _STATE_BITS - (low ^ high).bit_length()
+            if n:
+                low = (low << n) & _MASK
+                high = ((high << n) & _MASK) | ((1 << n) - 1)
+            if low >= _QUARTER and high < _THREE_QUARTERS:
+                m = _STATE_BITS - 1 - ((low & ~high) ^ _LOW).bit_length()
+                low = (low << m) & _LOW
+                high = ((high << m) & _LOW) | _TOP | ((1 << m) - 1)
+                n += m
+            if n:
+                avail -= n
+                word = stream >> avail if avail >= 0 else stream << -avail
+                offset = (offset << n) | (word & ((1 << n) - 1))
+            if s != esc:
+                break
+            rng = high - low + 1
+            c = (((offset + 1) << PRECISION) - 1) // rng
+            c_next = c + 1
+            symbol = c - 65536 if c >= 32768 else c
+            s = -1  # no escape after the raw bits
+        out.append(symbol)
+    value = (((offset + 1) << PRECISION) - 1) // (high - low + 1)
+    if value >> (PRECISION - GUARD_BITS) != GUARD_VALUE:
+        raise DecodeFailure("corrupt or truncated frame payload")
+    return QuantizedLatent(np.array(out, dtype=np.int64), frame_index)
 
 
 def measure_rate(bits: Bitstream) -> int:
@@ -294,7 +301,8 @@ class TableCache:
         return self._store.get(key)
 
     def put(self, key: tuple, entry: tuple[CdfTable, float]) -> None:
-        # ~30 bytes per count: the uint32 row plus its boxed-int mirror
+        # ~30 bytes per count, an estimate kept so the memo holds the same
+        # tables as when the decoder kept a boxed-int mirror of each row
         size = entry[0].cum.size * 30
         while self._store and self._bytes + size > self._max_bytes:
             oldest = next(iter(self._store))

@@ -2,11 +2,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from voxfec.corpus import speech_like_clip
 from voxfec.frontend import frame_encode
 from voxfec.hyperprior import CodecModel, ConfidenceTokens, calibrate
 from voxfec.transform import analysis
+
+# Timings on a shared machine drift by up to 1.6x, so a per-example
+# deadline would make properties flake; none has one.
+settings.register_profile("voxfec", deadline=None)
+settings.load_profile("voxfec")
 
 
 def build_model(codes, q, seed, d_z, sigma_min=0.05 / 1024, rho=0.9, kappa=4.0):

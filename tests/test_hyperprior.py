@@ -7,6 +7,7 @@ import pytest
 
 from voxfec.hyperprior import (
     CODEBOOK_SIZE,
+    CodecModel,
     ConfidenceTokens,
     RvqCodebooks,
     SideInfo,
@@ -227,6 +228,23 @@ def test_model_file_rejects_other_versions(tmp_path, tiny_model):
         path.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
         with pytest.raises(ValueError, match=f"unsupported model version {version}"):
             load_model(path)
+
+
+def test_model_rejects_codebooks_of_another_dimension():
+    books = RvqCodebooks.from_stages(np.zeros((1, CODEBOOK_SIZE, 8)))
+    with pytest.raises(ValueError, match="codebooks have dimension 8, model d_z 16"):
+        CodecModel(
+            d_l=320,
+            d_y=320,
+            d_z=16,
+            q=1,
+            sigma_min=0.05 / 1024,
+            rho=0.9,
+            kappa=4.0,
+            sigma_table=np.ones(320),
+            tokens=ConfidenceTokens.zeros(320, 1, 16),
+            codebooks=books,
+        )
 
 
 def test_encoder_decoder_theta_bit_identical(tiny_model):

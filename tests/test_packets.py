@@ -254,13 +254,13 @@ def packets(draw):
     return Packet(t, draw(st.integers(0, 255)), Bitstream(data, nbits), blocks)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(p=packets())
 def test_parse_inverts_serialize(p):
     assert parse(serialize(p)) == p
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(p=packets(), data=st.data())
 def test_parse_rejects_any_single_bit_flip(p, data):
     blob = bytearray(serialize(p))

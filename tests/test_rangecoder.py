@@ -1,7 +1,10 @@
 import dataclasses
+import gc
 import hashlib
 import itertools
 import pickle
+import tracemalloc
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -159,6 +162,16 @@ def test_largest_remainder_ties_go_to_lower_symbol():
     want = np.tile([1, 2], 32)
     want[[1, 3, 5, 7]] += 1
     assert counts.tolist() == want.tolist()
+    # in one call with that row: a row that floors exactly (no deficit) and
+    # a row whose remainders all tie, so its 36 spare counts go to the 36
+    # lowest symbols
+    exact = np.zeros(64)
+    exact[[3, 10, 40, 63]] = 0.25
+    flat = np.full(64, 1 / 64)
+    counts = _largest_remainder(np.stack([probs[0], exact, flat]), 100)
+    assert counts[0].tolist() == want.tolist()
+    assert counts[1].tolist() == (exact * 100).astype(int).tolist()
+    assert counts[2].tolist() == [2] * 36 + [1] * 28
 
 
 def test_frame_tables_memo_belongs_to_the_model(tiny_model):
@@ -223,6 +236,59 @@ def test_encoder_matches_per_bit_reference():
             vals[escaped] = rng.integers(-32768, 32768, size=escaped.size)
             bits = encode_frame(QuantizedLatent(vals, 0), tables)
             assert (bits.data, bits.bit_length) == _reference_encode(vals.tolist(), tables)
+
+
+def _reference_decode(bits, tables, d_y):
+    """The decoder with one loop pass per coding step, over plain-int copies
+    of the rows, the escape's raw bits and the guard as branches of it.
+    Returns the symbols, or raises DecodeFailure."""
+    mask = (1 << 64) - 1
+    half, esc = tables.half_width, tables.escape_symbol
+    lists = tables.cum.tolist()
+    dim_rows = [lists[r] for r in tables.rows.tolist()]
+    data = bits.data
+    stream = int.from_bytes(data, "big") >> (8 * len(data) - bits.bit_length)
+    avail = bits.bit_length - 64
+    low, high = 0, mask
+    offset = stream >> avail if avail >= 0 else stream << -avail
+    out, dim, raw = [], 0, False
+    while True:
+        rng = high - low + 1
+        value = (((offset + 1) << 16) - 1) // rng
+        if raw:
+            c, c_next = value, value + 1
+            out.append(value - 65536 if value >= 32768 else value)
+            raw = False
+        elif dim < d_y:
+            row = dim_rows[dim]
+            dim += 1
+            s = bisect_right(row, value) - 1
+            c, c_next = row[s], row[s + 1]
+            if s == esc:
+                raw = True
+            else:
+                out.append(s - half)
+        elif value >> (16 - GUARD_BITS) == GUARD_VALUE:
+            return out
+        else:
+            raise DecodeFailure("guard mismatch")
+        gap = (rng * c) >> 16
+        high = low + ((rng * c_next) >> 16) - 1
+        low += gap
+        offset -= gap
+        n = 64 - (low ^ high).bit_length()
+        if n:
+            low = (low << n) & mask
+            high = ((high << n) & mask) | ((1 << n) - 1)
+        if low >= 1 << 62 and high < 3 << 62:
+            m = 63 - ((low & ~high) ^ (mask >> 1)).bit_length()
+            low = (low << m) & (mask >> 1)
+            high = ((high << m) & (mask >> 1)) | (1 << 63) | ((1 << m) - 1)
+            n += m
+        if n:
+            avail -= n
+            word = stream >> avail if avail >= 0 else stream << -avail
+            offset = (offset << n) | (word & ((1 << n) - 1))
 
 
 def roundtrip(indices, tables):
@@ -444,7 +510,7 @@ def coded_frames(draw):
     return build_cdf(GaussianParams(mu * step, sigma * step), step, half), np.array(vals)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(frame=coded_frames(), frame_index=st.integers(0, 1 << 20))
 def test_random_tables_round_trip(frame, frame_index):
     tables, vals = frame
@@ -452,3 +518,97 @@ def test_random_tables_round_trip(frame, frame_index):
     back = decode_frame(bits, tables, vals.size, frame_index)
     assert np.array_equal(back.indices, vals)
     assert back.frame_index == frame_index
+
+
+@st.composite
+def integer_tables(draw):
+    """Integer tables drawn directly: shared rows, flat rows whose counts
+    are all equal, and peaked rows where one symbol holds almost all."""
+    half = draw(st.integers(1, 40))
+    n_slots = 2 * half + 2  # symbols plus the escape slot
+    n_rows = draw(st.integers(1, 4))
+    cum = np.empty((n_rows, n_slots + 1), dtype=np.uint32)
+    for r in range(n_rows):
+        kind = draw(st.sampled_from(["flat", "peaked", "random"]))
+        if kind == "flat":
+            counts = np.full(n_slots, TOTAL // n_slots)
+            counts[: TOTAL % n_slots] += 1
+        else:
+            counts = np.ones(n_slots, dtype=np.int64)
+            if kind == "peaked":
+                counts[draw(st.integers(0, n_slots - 2))] += TOTAL - n_slots
+            else:
+                weights = np.array(
+                    draw(st.lists(st.integers(0, 1000), min_size=n_slots, max_size=n_slots))
+                )
+                spare = TOTAL - n_slots
+                counts += spare * weights // max(weights.sum(), 1)
+                counts[np.argmax(weights)] += TOTAL - counts.sum()
+        cum[r, 0] = 0
+        cum[r, 1:] = np.cumsum(counts)
+    d = draw(st.integers(1, 24))
+    rows = np.array(draw(st.lists(st.integers(0, n_rows - 1), min_size=d, max_size=d)))
+    return CdfTable(cum, rows.astype(np.int32), half)
+
+
+@settings(max_examples=300)
+@given(
+    tables=st.one_of(integer_tables(), coded_frames().map(lambda frame: frame[0])),
+    data=st.data(),
+)
+def test_decoder_matches_reference(tables, data):
+    # every input decodes to the reference's symbols, or both raise
+    # DecodeFailure: the frame intact, cut short, with one bit flipped, and
+    # with the bytes after a cut left in the buffer
+    d = tables.rows.size
+    half = tables.half_width
+    inside = st.integers(-half, half)
+    escaped = st.integers(-32768, 32767).filter(lambda v: abs(v) > half)
+    vals = np.array(data.draw(st.lists(st.one_of(inside, escaped), min_size=d, max_size=d)))
+    bits = encode_frame(QuantizedLatent(vals, 0), tables)
+    n = bits.bit_length
+    cut = data.draw(st.integers(0, n))
+    flip = data.draw(st.integers(0, n - 1))
+    flipped = bytearray(bits.data)
+    flipped[flip >> 3] ^= 0x80 >> (flip & 7)
+    variants = [
+        bits,
+        Bitstream(bits.data[: (cut + 7) // 8], cut),
+        Bitstream(bits.data, cut),
+        Bitstream(bytes(flipped), n),
+    ]
+    for stream in variants:
+        try:
+            want = _reference_decode(stream, tables, d)
+        except DecodeFailure:
+            with pytest.raises(DecodeFailure):
+                decode_frame(stream, tables, d)
+        else:
+            assert decode_frame(stream, tables, d).indices.tolist() == want
+    assert _reference_decode(bits, tables, d) == vals.tolist()
+
+
+def test_decoding_keeps_no_copy_of_the_table(speech_model):
+    # what a received table keeps alive, once decoded from, is its uint32
+    # counts plus a few small views: no per-count Python objects
+    si = SideInfo((3, 9), 0)
+    warm = dataclasses.replace(speech_model)
+    tables, step = frame_tables(warm, si, 32)
+    rng = np.random.default_rng(41)
+    vals = np.rint(rng.normal(0, 0.02, size=tables.rows.size) / step).astype(np.int64)
+    bits = encode_frame(QuantizedLatent(vals, 0), tables)
+    decode_frame(bits, tables, speech_model.d_y)
+    model = dataclasses.replace(speech_model)  # with its own, empty memo
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fresh, _ = frame_tables(model, si, 32)
+        assert fresh is not tables and fresh.cum.shape == (16, 513)
+        out = decode_frame(bits, fresh, speech_model.d_y)
+        del out
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 2 * fresh.cum.nbytes + 16 * 1024

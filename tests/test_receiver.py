@@ -272,7 +272,7 @@ def streams(tiny_model, q0_model):
     }
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(
     model_q=st.sampled_from([0, 1]),
     q_lambda=st.integers(0, 255),
