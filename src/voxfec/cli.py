@@ -118,6 +118,9 @@ def _trace_for(args, length: int, seed: int):
     if channel == "markov":
         raw = _merged(args, "markov_params")
         if raw is not None:
+            for key in ("transition", "loss_probs"):
+                if key not in raw:
+                    raise SystemExit(f"markov_params lacks {key!r}")
             params = Markov3Params(
                 np.asarray(raw["transition"], dtype=float),
                 np.asarray(raw["loss_probs"], dtype=float),
@@ -146,23 +149,22 @@ def _trace_for(args, length: int, seed: int):
 def _metrics_row(
     point: str,
     report_rates,
-    wave: WaveMetrics | None,
+    wave: WaveMetrics,
     rx_report,
 ) -> str:
     if report_rates is not None:
         total, src, fec = report_rates.total_kbps, report_rates.source_kbps, report_rates.redundant_kbps
     else:
         total = src = fec = float("nan")
-    w = wave
     fields = [
         point,
         _fmt(total),
         _fmt(src),
         _fmt(fec),
-        _fmt(w.mse) if w else "",
-        _fmt(w.snr_db) if w else "",
-        _fmt(w.seg_snr_db) if w else "",
-        _fmt(w.snr_q10_db) if w else "",
+        _fmt(wave.mse),
+        _fmt(wave.snr_db),
+        _fmt(wave.seg_snr_db),
+        _fmt(wave.snr_q10_db),
         str(rx_report.frames),
         str(rx_report.entropy_count),
         str(rx_report.plc_high_count),
@@ -173,28 +175,21 @@ def _metrics_row(
 
 
 def _write_report_csv(path, report) -> None:
-    mse = report.mse_by_path
+    fields = [
+        str(report.frames),
+        str(report.entropy_count),
+        str(report.plc_high_count),
+        str(report.plc_low_count),
+        _fmt(report.z_recovery_rate),
+    ]
     with open(path, "w", encoding="ascii") as fh:
         fh.write(REPORT_SCHEMA + "\n")
         fh.write(
             "frames,entropy_count,plc_high_count,plc_low_count,z_recovery_rate,"
             "mse_entropy,mse_plc_high,mse_plc_low\n"
         )
-        fh.write(
-            ",".join(
-                [
-                    str(report.frames),
-                    str(report.entropy_count),
-                    str(report.plc_high_count),
-                    str(report.plc_low_count),
-                    _fmt(report.z_recovery_rate),
-                    _fmt(mse.get("entropy", float("nan"))),
-                    _fmt(mse.get("plc_high", float("nan"))),
-                    _fmt(mse.get("plc_low", float("nan"))),
-                ]
-            )
-            + "\n"
-        )
+        # the v1 schema keeps its three per-path MSE columns; no run fills them
+        fh.write(",".join(fields) + ",nan,nan,nan\n")
 
 
 def cmd_calibrate(args) -> int:
@@ -305,9 +300,7 @@ def cmd_simulate(args) -> int:
 def _sweep_point(clip, model, result, loss_rate, delay, seed):
     trace = gen_bernoulli(loss_rate, len(result.packets), seed) if loss_rate > 0 else None
     config = ReceiverConfig(result.header.fec, delay)
-    sim = simulate_stream(
-        result.packets, trace, model, config, result.header.sample_count, result.y_ref
-    )
+    sim = simulate_stream(result.packets, trace, model, config, result.header.sample_count)
     wave = compute_metrics(clip, sim.clip)
     return result.report, wave, sim.report
 
@@ -346,7 +339,10 @@ def cmd_sweep(args) -> int:
         vals = str(values or "1x1,2x2,6x1").split(",")
         for v in vals:
             q_str, n_str = v.lower().split("x")
-            cfg = FecConfig(int(q_str), _SWEEP_OFFSETS[int(n_str)])
+            offsets = _SWEEP_OFFSETS.get(int(n_str))
+            if offsets is None:
+                raise SystemExit(f"fec point {v!r}: backup count {n_str} out of range 0..4")
+            cfg = FecConfig(int(q_str), offsets)
             points.append((f"fec{v}", _encode_and_sweep, (q_lambda, cfg, loss_rate)))
     else:
         raise SystemExit(f"unknown sweep axis {axis!r}")
@@ -487,8 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args._config = _load_config(getattr(args, "config", None))
     try:
+        args._config = _load_config(getattr(args, "config", None))
         return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -32,6 +32,7 @@ D_Z_DEFAULT = 16
 SIGMA_MIN_DEFAULT = 0.05 * STEP_REF
 RHO_DEFAULT = 0.9
 KAPPA_DEFAULT = 4.0
+KMEANS_ITERS = 25
 
 MODEL_MAGIC = b"GLRM"
 MODEL_VERSION = 1
@@ -145,6 +146,8 @@ class CodecModel:
         object.__setattr__(
             self, "sigma_table", np.asarray(self.sigma_table, dtype=np.float64)
         )
+        if self.d_z < 1:
+            raise ValueError(f"side-info dimension {self.d_z} must be at least 1")
         if self.d_y % self.d_z != 0:
             raise ValueError(
                 f"latent dimension {self.d_y} not divisible by side-info dimension {self.d_z}"
@@ -277,7 +280,6 @@ def calibrate(
     seed: int,
     d_z: int = D_Z_DEFAULT,
     sigma_min: float = SIGMA_MIN_DEFAULT,
-    kmeans_iters: int = 25,
 ) -> tuple[RvqCodebooks | None, np.ndarray]:
     """Train the residual codebooks and the per-band spread table.
 
@@ -309,7 +311,7 @@ def calibrate(
             # the residual unchanged, so per-stage residual energy can never
             # grow, for any input
             cents = np.zeros((CODEBOOK_SIZE, d_z))
-            cents[:-1] = _kmeans(residual, CODEBOOK_SIZE - 1, kmeans_iters, derive(seed, s))
+            cents[:-1] = _kmeans(residual, CODEBOOK_SIZE - 1, KMEANS_ITERS, derive(seed, s))
             d2 = (
                 np.einsum("nd,nd->n", residual, residual)[:, None]
                 - 2.0 * (residual @ cents.T)

@@ -120,17 +120,10 @@ def build_packet(
 
 def _pack_indices(indices: Sequence[int]) -> bytes:
     acc = 0
-    nbits = 0
-    out = bytearray()
     for idx in indices:
         acc = (acc << INDEX_BITS) | (idx & ((1 << INDEX_BITS) - 1))
-        nbits += INDEX_BITS
-        while nbits >= 8:
-            nbits -= 8
-            out.append((acc >> nbits) & 0xFF)
-    if nbits:
-        out.append((acc << (8 - nbits)) & 0xFF)
-    return bytes(out)
+    nbytes = _block_bytes(len(indices))
+    return (acc << (8 * nbytes - INDEX_BITS * len(indices))).to_bytes(nbytes, "big")
 
 
 def _unpack_indices(data: bytes, q: int) -> tuple[int, ...]:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,10 +62,8 @@ def encode_stream(
         yq = quantize(y, step)
         payload = encode_frame(yq, tables)
         packets.append(build_packet(t, payload, z_cache, fec, q_lambda))
-        horizon = t - fec.max_offset
-        stale = [k for k in z_cache if k < horizon]
-        for k in stale:
-            del z_cache[k]
+        # no later packet carries a backup of frame t - max_offset
+        z_cache.pop(t - fec.max_offset, None)
     report = account_stream(packets, fec.frame_rate) if len(packets) >= fec.frame_rate else None
     header = StreamHeader(
         model_crc=model.content_crc,
@@ -104,16 +102,13 @@ def simulate_stream(
     model: CodecModel,
     config: ReceiverConfig,
     sample_count: int,
-    y_ref: np.ndarray | None = None,
 ) -> SimResult:
-    """Receiver run plus waveform reconstruction and per-path latent MSE."""
+    """Receiver run plus waveform reconstruction."""
     decoded, report = run_receiver(packets, trace, model, config)
     codes = np.stack([d.code.coeffs for d in decoded]) if decoded else np.empty((0, model.d_y))
     paths = [d.path for d in decoded]
     frames = [synthesis(d.code) for d in decoded]
     clip = frame_decode(frames, sample_count)
-    if y_ref is not None:
-        report = replace(report, mse_by_path=latent_mse_by_path(codes, paths, y_ref))
     return SimResult(clip, codes, paths, report)
 
 
@@ -122,17 +117,3 @@ def decode_stream(
 ) -> SimResult:
     """Loss-free decode of a container."""
     return simulate_stream(packets, None, model, config, sample_count)
-
-
-def latent_mse_by_path(
-    codes: np.ndarray, paths: list[str], y_ref: np.ndarray
-) -> dict[str, float]:
-    """Mean per-frame latent MSE grouped by decode path."""
-    if codes.shape != y_ref.shape:
-        raise ValueError(f"code shape {codes.shape} != reference {y_ref.shape}")
-    per_frame = np.mean((codes - y_ref) ** 2, axis=1)
-    out: dict[str, float] = {}
-    for path in sorted(set(paths)):
-        mask = np.array([p == path for p in paths])
-        out[path] = float(per_frame[mask].mean())
-    return out

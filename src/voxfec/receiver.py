@@ -21,7 +21,7 @@ lost. Every frame always yields output, in order and gap-free.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,7 +73,6 @@ class ReceiverReport:
     plc_high_count: int
     plc_low_count: int
     z_recovery_rate: float
-    mse_by_path: dict[str, float] = field(default_factory=dict)
 
 
 class Receiver:

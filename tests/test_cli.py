@@ -80,6 +80,20 @@ def test_simulate_with_loss_and_reports(workdir):
     assert len(decoded) == len(read_wav(wav))
 
 
+def test_report_csv_mse_columns_read_nan(workdir):
+    # the v1 receiver report keeps three per-path MSE columns that no run fills
+    d, wav, model, container = workdir
+    rep = d / "report_nan.csv"
+    assert main([
+        "simulate", "--container", str(container), "--model", str(model),
+        "--channel", "markov", "--preset", "burst10", "--seed", "3",
+        "--report-csv", str(rep),
+    ]) == 0
+    header, row = rep.read_text().splitlines()[1:]
+    assert header.endswith(",mse_entropy,mse_plc_high,mse_plc_low")
+    assert row.endswith(",nan,nan,nan")
+
+
 def test_simulate_all_lost_finite(workdir):
     d, wav, model, container = workdir
     csv = d / "all_lost.csv"
@@ -180,6 +194,40 @@ def test_config_file_supplies_defaults(workdir):
     }))
     assert main(["encode", "--config", str(cfg)]) == 0
     assert out.read_bytes() == (d / "s.vxs").read_bytes()
+
+
+@pytest.mark.parametrize("key", ["transition", "loss_probs"])
+def test_markov_params_missing_key_exits(workdir, key):
+    d, wav, model, container = workdir
+    params = {
+        "transition": [[0.9, 0.1, 0.0], [0.5, 0.5, 0.0], [1.0, 0.0, 0.0]],
+        "loss_probs": [0.0, 1.0, 0.0],
+    }
+    del params[key]
+    cfg = d / f"markov_no_{key}.json"
+    cfg.write_text(json.dumps({
+        "container": str(container), "model": str(model),
+        "channel": "markov", "markov_params": params,
+    }))
+    with pytest.raises(SystemExit, match=f"markov_params lacks '{key}'"):
+        main(["simulate", "--config", str(cfg)])
+
+
+def test_sweep_fec_backup_count_out_of_range_exits(workdir):
+    d, wav, model, _ = workdir
+    with pytest.raises(SystemExit, match=r"backup count 5 out of range 0\.\.4"):
+        main(["sweep", "--input", str(wav), "--model", str(model), "--axis", "fec",
+              "--values", "1x5", "--out", str(d / "fec_bad.csv")])
+
+
+@pytest.mark.parametrize("text", [None, "{not json"])
+def test_bad_config_file_exits_with_error(tmp_path, capsys, text):
+    # None: the file does not exist
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    assert main(["encode", "--config", str(cfg)]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_simulate_markov_preset_and_custom_params(workdir, capsys):

@@ -230,6 +230,21 @@ def test_model_file_rejects_other_versions(tmp_path, tiny_model):
             load_model(path)
 
 
+def test_model_file_rejects_zero_side_info_dimension(tmp_path):
+    # a CRC-valid file with d_z = 0 and no codebook stages
+    d_y = 8
+    body = (
+        b"GLRM"
+        + struct.pack("<HHHHB", 1, d_y, d_y, 0, 0)
+        + struct.pack("<ddd", 0.05 / 1024, 0.9, 4.0)
+        + np.ones(3 * d_y).astype("<f8").tobytes()  # sigma_table, m_high, m_low
+    )
+    path = tmp_path / "m.vxm"
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+    with pytest.raises(ValueError, match="side-info dimension 0 must be at least 1"):
+        load_model(path)
+
+
 def test_model_rejects_codebooks_of_another_dimension():
     books = RvqCodebooks.from_stages(np.zeros((1, CODEBOOK_SIZE, 8)))
     with pytest.raises(ValueError, match="codebooks have dimension 8, model d_z 16"):
