@@ -10,6 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
+from functools import partial
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -118,6 +122,8 @@ def _trace_for(args, length: int, seed: int):
     if channel == "markov":
         raw = _merged(args, "markov_params")
         if raw is not None:
+            if not isinstance(raw, dict):
+                raise SystemExit("markov_params must be a JSON object")
             for key in ("transition", "loss_probs"):
                 if key not in raw:
                     raise SystemExit(f"markov_params lacks {key!r}")
@@ -323,48 +329,42 @@ def cmd_sweep(args) -> int:
     fec = _fec_from_args(args)
     out = _require(args, "out")
 
-    # (label, point function, its arguments between (clip, model) and (delay, seed))
-    points = []
+    # each point calls fn(clip, model, *column values, delay=, seed=)
     if axis == "q_lambda":
         vals = [int(v) for v in str(values or "0,8,16,24,32,40,48,56,63").split(",")]
-        for v in vals:
-            points.append((f"q{v}", _encode_and_sweep, (v, fec, loss_rate)))
+        model.check_stages(fec.q)
+        labels = [f"q{v}" for v in vals]
+        fn, columns = _encode_and_sweep, (vals, repeat(fec), repeat(loss_rate))
     elif axis == "loss":
         vals = [float(v) for v in str(values or "0,0.05,0.1,0.2,0.3").split(",")]
+        labels = [f"p{_fmt(v)}" for v in vals]
         # the encoding does not depend on the loss rate
         result = encode_stream(clip, model, q_lambda, fec)
-        for v in vals:
-            points.append((f"p{_fmt(v)}", _sweep_point, (result, v)))
+        fn, columns = _sweep_point, (repeat(result), vals)
     elif axis == "fec":
-        vals = str(values or "1x1,2x2,6x1").split(",")
-        for v in vals:
-            q_str, n_str = v.lower().split("x")
-            offsets = _SWEEP_OFFSETS.get(int(n_str))
+        labels, cfgs = [], []
+        for v in str(values or "1x1,2x2,6x1").split(","):
+            try:
+                q, n = map(int, v.lower().split("x"))
+            except ValueError:
+                raise SystemExit(f"fec point {v!r}: expected QxN, e.g. 2x2") from None
+            offsets = _SWEEP_OFFSETS.get(n)
             if offsets is None:
-                raise SystemExit(f"fec point {v!r}: backup count {n_str} out of range 0..4")
-            cfg = FecConfig(int(q_str), offsets)
-            points.append((f"fec{v}", _encode_and_sweep, (q_lambda, cfg, loss_rate)))
+                raise SystemExit(f"fec point {v!r}: backup count {n} out of range 0..4")
+            cfgs.append(FecConfig(q, offsets))
+            model.check_stages(q)
+            labels.append(f"fec{v}")
+        fn, columns = _encode_and_sweep, (repeat(q_lambda), cfgs, repeat(loss_rate))
     else:
         raise SystemExit(f"unknown sweep axis {axis!r}")
 
     jobs = int(_merged(args, "jobs", 1))
     rows = []
-    if jobs > 1:
-        # points are independent and individually seeded, so they can run
-        # in parallel; rows keep axis order either way
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(fn, clip, model, *point, delay, seed) for _, fn, point in points
-            ]
-            for (label, *_), fut in zip(points, futures):
-                rates, wave, rx = fut.result()
-                rows.append(_metrics_row(label, rates, wave, rx))
-                print(f"{label}: done")
-    else:
-        for label, fn, point in points:
-            rates, wave, rx = fn(clip, model, *point, delay, seed)
+    # points are independent and individually seeded, so they can run in
+    # parallel; rows keep axis order either way
+    with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
+        point = partial(fn, clip, model, delay=delay, seed=seed)
+        for label, (rates, wave, rx) in zip(labels, (pool.map if pool else map)(point, *columns)):
             rows.append(_metrics_row(label, rates, wave, rx))
             print(f"{label}: done")
     with open(out, "w", encoding="ascii") as fh:

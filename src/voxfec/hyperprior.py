@@ -19,7 +19,8 @@ from __future__ import annotations
 import struct
 import warnings
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -62,7 +63,6 @@ class RvqCodebooks:
     """Stacked per-stage codebooks, each CODEBOOK_SIZE centroids of dim d_z."""
 
     stages: np.ndarray  # (q, CODEBOOK_SIZE, d_z)
-    checksum: int
 
     def __post_init__(self):
         stages = np.ascontiguousarray(self.stages, dtype=np.float64)
@@ -72,10 +72,9 @@ class RvqCodebooks:
         if not np.all(np.isfinite(stages)):
             raise ValueError("non-finite centroid")
 
-    @classmethod
-    def from_stages(cls, stages: np.ndarray) -> "RvqCodebooks":
-        stages = np.ascontiguousarray(stages, dtype=np.float64)
-        return cls(stages, zlib.crc32(stages.tobytes()) & 0xFFFFFFFF)
+    @cached_property
+    def checksum(self) -> int:
+        return zlib.crc32(self.stages.tobytes()) & 0xFFFFFFFF
 
     @property
     def n_stages(self) -> int:
@@ -165,18 +164,19 @@ class CodecModel:
     def block(self) -> int:
         return self.d_y // self.d_z
 
-    @property
+    def check_stages(self, q: int) -> None:
+        """Raise ValueError unless the codebooks can code `q` side-info stages."""
+        have = 0 if self.codebooks is None else self.codebooks.n_stages
+        if q > have:
+            raise ValueError(f"requested {q} side-info stages, model codebooks have {have}")
+
+    @cached_property
     def content_crc(self) -> int:
-        try:
-            return self._crc  # type: ignore[attr-defined]
-        except AttributeError:
-            crc = zlib.crc32(_model_body(self)) & 0xFFFFFFFF
-            object.__setattr__(self, "_crc", crc)
-            return crc
+        return zlib.crc32(_model_body(self)) & 0xFFFFFFFF
 
     def __getstate__(self):
         # caches built on first use (the CRC, the CDF-table memo) stay behind
-        return {k: v for k, v in vars(self).items() if not k.startswith("_")}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def hyper_analysis(coeffs: np.ndarray, d_z: int) -> np.ndarray:
@@ -245,6 +245,17 @@ def apply_confidence(
     return np.asarray(y_p, dtype=np.float64) + token
 
 
+def _nearest(data: np.ndarray, sq_data: np.ndarray, cents: np.ndarray) -> np.ndarray:
+    """Each row's nearest centroid: squared Euclidean, ties to the lowest index."""
+    # sq_data - 2 data.cents + |cents|^2 in one buffer: scaling by -2 is
+    # exact and x + (-y) is x - y, so the sums round as written
+    d2 = data @ cents.T
+    d2 *= -2.0
+    d2 += sq_data[:, None]
+    d2 += np.einsum("kd,kd->k", cents, cents)
+    return np.argmin(d2, axis=1)
+
+
 def _kmeans(data: np.ndarray, k: int, iters: int, seed: int) -> np.ndarray:
     """Plain Lloyd iterations with deterministic farthest-point seeding.
 
@@ -264,8 +275,7 @@ def _kmeans(data: np.ndarray, k: int, iters: int, seed: int) -> np.ndarray:
         np.minimum(min_d2, np.einsum("nd,nd->n", diff, diff), out=min_d2)
     sq_data = np.einsum("nd,nd->n", data, data)
     for _ in range(iters):
-        d2 = sq_data[:, None] - 2.0 * (data @ cents.T) + np.einsum("kd,kd->k", cents, cents)
-        assign = np.argmin(d2, axis=1)
+        assign = _nearest(data, sq_data, cents)
         counts = np.bincount(assign, minlength=k)
         sums = np.zeros((k, d))
         np.add.at(sums, assign, data)
@@ -312,15 +322,10 @@ def calibrate(
             # grow, for any input
             cents = np.zeros((CODEBOOK_SIZE, d_z))
             cents[:-1] = _kmeans(residual, CODEBOOK_SIZE - 1, KMEANS_ITERS, derive(seed, s))
-            d2 = (
-                np.einsum("nd,nd->n", residual, residual)[:, None]
-                - 2.0 * (residual @ cents.T)
-                + np.einsum("kd,kd->k", cents, cents)
-            )
-            assign = np.argmin(d2, axis=1)
+            assign = _nearest(residual, np.einsum("nd,nd->n", residual, residual), cents)
             residual -= cents[assign]
             stages[s] = cents
-        books = RvqCodebooks.from_stages(stages)
+        books = RvqCodebooks(stages)
     z_hat = vectors - residual  # sum of all stage reconstructions
     resid_y = codes - np.repeat(z_hat, block, axis=1)
     band_sigma = resid_y.reshape(n, d_z, block).std(axis=(0, 2))
@@ -389,7 +394,7 @@ def load_model(path) -> CodecModel:
     if q > 0:
         m_z = take(q * d_z).reshape(q, d_z)
         stages = take(q * CODEBOOK_SIZE * d_z).reshape(q, CODEBOOK_SIZE, d_z)
-        books = RvqCodebooks.from_stages(stages)
+        books = RvqCodebooks(stages)
     else:
         m_z = np.zeros((1, d_z))
         books = None

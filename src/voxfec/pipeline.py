@@ -45,6 +45,7 @@ def encode_stream(
     fec: FecConfig,
 ) -> EncodeResult:
     """Run the sender: frame, transform, summarize, quantize, pack."""
+    model.check_stages(fec.q)
     frames = frame_encode(clip, model.d_l)
     y_ref = np.empty((len(frames), model.d_y))
     z_cache = {}

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtr
@@ -73,16 +74,12 @@ class CdfTable:
     def escape_symbol(self) -> int:
         return 2 * self.half_width + 1
 
+    @cached_property
     def dim_rows(self) -> list[memoryview]:
         # each dimension's row as a zero-copy view of `cum` for the decoder
-        # loop, one view per shared row, built once per table
-        try:
-            return self._dim_rows  # type: ignore[attr-defined]
-        except AttributeError:
-            views = [memoryview(row) for row in self.cum]
-            dim_rows = [views[r] for r in self.rows.tolist()]
-            object.__setattr__(self, "_dim_rows", dim_rows)
-            return dim_rows
+        # loop, one view per shared row
+        views = [memoryview(row) for row in self.cum]
+        return [views[r] for r in self.rows.tolist()]
 
 
 def _largest_remainder(probs: np.ndarray, budget: int) -> np.ndarray:
@@ -240,7 +237,7 @@ def decode_frame(
     # the code by the same x -> 2x - k, so the offset just takes in the
     # next stream bits
     offset = stream >> avail if avail >= 0 else stream << -avail
-    for row in tables.dim_rows():
+    for row in tables.dim_rows:
         rng = high - low + 1
         # the offset stays below rng, so value < TOTAL
         value = (((offset + 1) << PRECISION) - 1) // rng
@@ -288,28 +285,24 @@ def measure_rate(bits: Bitstream) -> int:
     return bits.bit_length
 
 
-class TableCache:
-    """Byte-bounded FIFO memo of (CdfTable, step) entries; a miss costs one
-    build_cdf. Each model owns one, filled by `frame_tables`."""
+# rows of counts a memo holds, 64 MiB / (30 B x 513 counts per row) rounded
+# down: 272 16-row tables, or all 638 2-row tables of criterion 3's stream
+MEMO_ROWS = 4360
 
-    def __init__(self, max_bytes: int = 64 << 20):
-        self._max_bytes = max_bytes
-        self._bytes = 0
-        self._store: dict[tuple, tuple[CdfTable, float]] = {}
 
-    def get(self, key: tuple) -> tuple[CdfTable, float] | None:
-        return self._store.get(key)
+class TableCache(dict):
+    """FIFO memo of (CdfTable, step) entries holding at most MEMO_ROWS rows
+    of counts; a miss costs one build_cdf. Each model owns one, filled by
+    `frame_tables`."""
+
+    rows = 0
 
     def put(self, key: tuple, entry: tuple[CdfTable, float]) -> None:
-        # ~30 bytes per count, an estimate kept so the memo holds the same
-        # tables as when the decoder kept a boxed-int mirror of each row
-        size = entry[0].cum.size * 30
-        while self._store and self._bytes + size > self._max_bytes:
-            oldest = next(iter(self._store))
-            old = self._store.pop(oldest)
-            self._bytes -= old[0].cum.size * 30
-        self._bytes += size
-        self._store[key] = entry
+        n = entry[0].cum.shape[0]
+        while self and self.rows + n > MEMO_ROWS:
+            self.rows -= self.pop(next(iter(self)))[0].cum.shape[0]
+        self.rows += n
+        self[key] = entry
 
 
 def frame_tables(

@@ -1,4 +1,5 @@
 import json
+from hashlib import sha256
 
 import numpy as np
 import pytest
@@ -220,6 +221,59 @@ def test_sweep_fec_backup_count_out_of_range_exits(workdir):
               "--values", "1x5", "--out", str(d / "fec_bad.csv")])
 
 
+@pytest.mark.parametrize("value", ["2", "ax2"])
+def test_sweep_fec_malformed_point_exits(workdir, value):
+    d, wav, model, _ = workdir
+    with pytest.raises(SystemExit, match=f"fec point '{value}': expected QxN"):
+        main(["sweep", "--input", str(wav), "--model", str(model), "--axis", "fec",
+              "--values", value, "--out", str(d / "fec_bad.csv")])
+
+
+def test_markov_params_not_an_object_exits(workdir):
+    d, wav, model, container = workdir
+    cfg = d / "markov_int.json"
+    cfg.write_text(json.dumps({
+        "container": str(container), "model": str(model),
+        "channel": "markov", "markov_params": 5,
+    }))
+    with pytest.raises(SystemExit, match="markov_params must be a JSON object"):
+        main(["simulate", "--config", str(cfg)])
+
+
+@pytest.fixture(scope="module")
+def model0(workdir):
+    """A model calibrated with no side-info stages."""
+    d, wav, _, _ = workdir
+    m0 = d / "m0.vxm"
+    assert main(["calibrate", "--input", str(wav), "--stages", "0", "--seed", "5",
+                 "--out", str(m0)]) == 0
+    return m0
+
+
+def test_encode_with_more_stages_than_the_model_exits(workdir, model0, capsys):
+    d, wav, _, _ = workdir
+    assert main(["encode", "--input", str(wav), "--model", str(model0), "--fec-q", "2",
+                 "--out", str(d / "s0_bad.vxs")]) == 1
+    assert "requested 2 side-info stages, model codebooks have 0" in capsys.readouterr().err
+
+
+def test_sweep_fec_with_more_stages_than_the_model_exits(workdir, model0, capsys):
+    d, wav, _, _ = workdir
+    assert main(["sweep", "--input", str(wav), "--model", str(model0), "--axis", "fec",
+                 "--values", "1x1", "--out", str(d / "fec_m0.csv")]) == 1
+    assert "requested 1 side-info stages, model codebooks have 0" in capsys.readouterr().err
+
+
+def test_sweep_fec_checks_every_point_before_coding(workdir, capsys):
+    # the default values end with 6x1; the model has 2 stages
+    d, wav, model, _ = workdir
+    assert main(["sweep", "--input", str(wav), "--model", str(model), "--axis", "fec",
+                 "--out", str(d / "fec_default.csv")]) == 1
+    captured = capsys.readouterr()
+    assert "requested 6 side-info stages, model codebooks have 2" in captured.err
+    assert "done" not in captured.out
+
+
 @pytest.mark.parametrize("text", [None, "{not json"])
 def test_bad_config_file_exits_with_error(tmp_path, capsys, text):
     # None: the file does not exist
@@ -319,3 +373,40 @@ def test_make_corpus(tmp_path):
     assert main(["make-corpus", "--duration", "2", "--seed", "1", "--out", str(out)]) == 0
     clip = read_wav(out)
     assert clip.duration_s >= 2.0
+
+
+# SHA-256 of each file, and of standard output, that the commands of
+# test_cli_outputs_match_digests write
+_CLI_DIGESTS = {
+    "c.wav": "9829d219db0c97f673e1ba69ae4ea5bc38ae7adf50589b8958ea9a42beca7c10",
+    "d.wav": "5ba409bbc6282095c5f580c85c7fe76658bc1a6473d340f2dc09862bf1ab4c03",
+    "m.vxm": "2b8e19d554c42f4e927aebd09dd51939d2d6e78f81dafecf44d36f3443c8b6a0",
+    "mk.csv": "006dd8c9eb1dc967b03a54c478dffb580010aa0d3be78f329c874458b5c66576",
+    "mk.wav": "ae9bc7ab89bb563df790ec78900f6a6f8a824d7d140f214b61ea0e4498bfe348",
+    "mk_r.csv": "e8836f18f4b0231f36cefaac4a8ae83e825fd0723200f8147bb457dccb0696fa",
+    "s.vxs": "f1bdc9f5e26779c873758668a8c9ce19c82532f06ef5e98e391311e1bd5724ab",
+    "sf.csv": "ebf4cf548891122ddf8ddfca13a55c57a3b5b9ce64e8aa4230573efdc63135d9",
+    "sl.csv": "e9debef4333b14ee536fd7e6643c9a3d78e6f3a5ad9276ec2660c7f4568a3076",
+    "stdout": "f702cf06425cf76a3dd9080b1d471dcad6d07979b6bcc679b6e070fbaaa6fe87",
+}
+
+
+def test_cli_outputs_match_digests(tmp_path, monkeypatch, capsys):
+    # the CLI's outputs are byte-deterministic; these digests pin them
+    monkeypatch.chdir(tmp_path)
+    commands = [
+        "make-corpus --duration 4 --seed 3 --out c.wav",
+        "calibrate --input c.wav --stages 2 --seed 1 --out m.vxm",
+        "encode --input c.wav --model m.vxm --q-lambda 32 --out s.vxs",
+        "decode --container s.vxs --model m.vxm --out d.wav",
+        "simulate --container s.vxs --model m.vxm --channel markov --preset burst10"
+        " --seed 7 --out-wav mk.wav --out-csv mk.csv --report-csv mk_r.csv",
+        "sweep --input c.wav --model m.vxm --axis fec --values 1x1,2x1,2x2"
+        " --loss-rate 0.1 --out sf.csv",
+        "sweep --input c.wav --model m.vxm --axis loss --values 0,0.2 --out sl.csv",
+    ]
+    for cmd in commands:
+        assert main(cmd.split()) == 0, cmd
+    digests = {p.name: sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.iterdir())}
+    digests["stdout"] = sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digests == _CLI_DIGESTS

@@ -11,6 +11,7 @@ from voxfec.hyperprior import (
     ConfidenceTokens,
     RvqCodebooks,
     SideInfo,
+    _nearest,
     apply_confidence,
     calibrate,
     hyper_analysis,
@@ -30,7 +31,7 @@ def toy_books():
     stages[0, 1] = [1.0, 1.0]
     stages[1, 0] = [0.0, 0.0]
     stages[1, 1] = [0.5, -0.5]
-    return RvqCodebooks.from_stages(stages)
+    return RvqCodebooks(stages)
 
 
 def test_hyper_analysis_zero_constant_and_oracle():
@@ -69,7 +70,7 @@ def test_rvq_matches_exhaustive_oracle():
     stages[0, :8] = rng.normal(size=(8, 3))
     stages[1, :8] = 0.3 * rng.normal(size=(8, 3))
     stages[1, 0] = 0.0
-    books = RvqCodebooks.from_stages(stages)
+    books = RvqCodebooks(stages)
     for _ in range(50):
         v = rng.normal(size=3)
         si = rvq_encode(v, books)
@@ -160,6 +161,22 @@ def test_calibrate_repeated_vector_degenerate():
     assert np.allclose(recon, hyper_analysis(vec[0], 4), atol=1e-12)
 
 
+def test_nearest_matches_the_written_out_distance():
+    # the in-place distance buffer must pick what the plain expression
+    # picks, or model files would change; mirror pairs x +- e sit at equal
+    # true distance from x, so rounding decides between them
+    rng = np.random.default_rng(13)
+    for _ in range(40):
+        n, d = rng.integers(1, 200), rng.integers(1, 17)
+        data = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-5, 3)
+        x = data[rng.integers(0, n, 32)]
+        e = rng.normal(size=x.shape) * np.abs(x).max() * 10.0 ** rng.uniform(-8, 0)
+        cents = np.concatenate([x + e, x - e])
+        sq = np.einsum("nd,nd->n", data, data)
+        d2 = sq[:, None] - 2.0 * (data @ cents.T) + np.einsum("kd,kd->k", cents, cents)
+        assert np.array_equal(_nearest(data, sq, cents), np.argmin(d2, axis=1))
+
+
 def test_calibrate_deterministic():
     rng = np.random.default_rng(21)
     codes = rng.normal(0, 0.3, size=(400, 8))
@@ -246,7 +263,7 @@ def test_model_file_rejects_zero_side_info_dimension(tmp_path):
 
 
 def test_model_rejects_codebooks_of_another_dimension():
-    books = RvqCodebooks.from_stages(np.zeros((1, CODEBOOK_SIZE, 8)))
+    books = RvqCodebooks(np.zeros((1, CODEBOOK_SIZE, 8)))
     with pytest.raises(ValueError, match="codebooks have dimension 8, model d_z 16"):
         CodecModel(
             d_l=320,

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import pickle
 import tracemalloc
+import zlib
 from bisect import bisect_right
 
 import numpy as np
@@ -16,10 +17,12 @@ from voxfec.hyperprior import GaussianParams, SideInfo
 from voxfec.rangecoder import (
     GUARD_BITS,
     GUARD_VALUE,
+    HALF_WIDTH,
     Bitstream,
     CdfTable,
     DecodeFailure,
     TOTAL,
+    TableCache,
     _largest_remainder,
     build_cdf,
     decode_frame,
@@ -183,8 +186,27 @@ def test_frame_tables_memo_belongs_to_the_model(tiny_model):
     twin = dataclasses.replace(tiny_model)
     twin_tables, _ = frame_tables(twin, si, 32)
     assert twin_tables is not tables and np.array_equal(twin_tables.cum, tables.cum)
-    # a pickled model, as sent to sweep workers, leaves its memo behind
-    assert not hasattr(pickle.loads(pickle.dumps(tiny_model)), "_tables")
+    # a pickled model, as sent to sweep workers, leaves its memo and its CRC
+    # cache behind
+    assert tiny_model.content_crc == twin.content_crc
+    clone = pickle.loads(pickle.dumps(tiny_model))
+    assert vars(clone).keys() == {f.name for f in dataclasses.fields(tiny_model)}
+    assert clone.content_crc == tiny_model.content_crc
+    books = tiny_model.codebooks
+    assert books.checksum == zlib.crc32(books.stages.tobytes())
+
+
+@pytest.mark.parametrize("rows, held", [(16, 272), (2, 2180)])
+def test_table_memo_holds_a_fixed_number_of_rows(rows, held):
+    # every table frame_tables builds has 2 * HALF_WIDTH + 3 = 513 counts
+    # per row; the memo holds 4,360 such rows and evicts the oldest first
+    cum = np.zeros((rows, 2 * HALF_WIDTH + 3), dtype=np.uint32)
+    table = CdfTable(cum, np.zeros(rows, dtype=np.int32))
+    memo = TableCache()
+    keys = range(held + 10)
+    for key in keys:
+        memo.put((key,), (table, 1.0))
+    assert [key for key in keys if memo.get((key,)) is not None] == list(keys[10:])
 
 
 def _reference_encode(indices, tables):
