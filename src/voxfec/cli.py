@@ -343,7 +343,7 @@ def cmd_sweep(args) -> int:
         fn, columns = _sweep_point, (repeat(result), vals)
     elif axis == "fec":
         labels, cfgs = [], []
-        for v in str(values or "1x1,2x2,6x1").split(","):
+        for v in str(values or "1x1,2x1,2x2").split(","):
             try:
                 q, n = map(int, v.lower().split("x"))
             except ValueError:

@@ -52,6 +52,8 @@ class FecConfig:
             raise ValueError("offsets must fit in one byte")
         if any(b <= a for a, b in zip(offsets, offsets[1:])):
             raise ValueError("offsets must be strictly increasing")
+        if not 1 <= self.frame_rate <= 0xFFFF:
+            raise ValueError(f"frame rate {self.frame_rate} out of range 1..65535")
 
     @property
     def n_backups(self) -> int:

@@ -17,6 +17,7 @@ the receiver onto the concealment path.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -289,20 +290,126 @@ def measure_rate(bits: Bitstream) -> int:
 # down: 272 16-row tables, or all 638 2-row tables of criterion 3's stream
 MEMO_ROWS = 4360
 
+# bytes a memo's packed tables may keep alive, charged for each entry's
+# bytes and key and for the dict: the 2,514 tables of the 64 s corpus take
+# 4.3 MiB at rate index 0 (about 1.8 KB each) and 2.3 MiB at 32
+PACKED_BYTES = 8 << 20
+
+
+def _pack(table: CdfTable, step: float) -> bytes | None:
+    """The table and its step in about a kilobyte, or None when its sizes
+    do not fit the uint16 fields.
+
+    Most counts of a row are 1. So a row's rise, its cumulative counts
+    less a unit ramp, is 0 up to its first count above 1 and TOTAL + 1 -
+    width from past its last one; only the window between is kept. The
+    map from dimensions to rows keeps the last dimension and the row of
+    each run of equal rows. Layout, after the step as a float64: uint16
+    half width, row count, dimension count and run count less one, every
+    row's window start, every row's window end, the runs' last dimensions
+    but the final one, the runs' rows, and the windows' rises row by row.
+    """
+    cum, rows = table.cum, table.rows
+    width = cum.shape[1]
+    if width >= 1 << 16 or rows.size >= 1 << 16:
+        return None
+    rise = cum - np.arange(width, dtype=np.uint32)
+    started = rise > 0
+    done = rise == TOTAL + 1 - width
+    # numpy's Python-level helpers (append, diff) cost more here than the
+    # arithmetic, so only ufuncs and methods
+    cuts = (rows[1:] != rows[:-1]).nonzero()[0]
+    fields = np.concatenate((
+        (table.half_width, rise.shape[0], rows.size, cuts.size),
+        started.argmax(axis=1),
+        done.argmax(axis=1),
+        cuts,
+        rows[cuts],
+        rows[-1:],
+        rise[started ^ done],
+    ))
+    return np.float64(step).tobytes() + fields.astype(np.uint16).tobytes()
+
+
+def _unpack(blob: bytes) -> tuple[CdfTable, float]:
+    """The exact (CdfTable, step) that `_pack` packed."""
+    step = float(np.frombuffer(blob, np.float64, 1)[0])
+    fields = np.frombuffer(blob, np.uint16, offset=8)
+    half_width, n_rows, d, n_cuts = fields[:4].tolist()
+    lo, hi = fields[4 : 4 + 2 * n_rows].reshape(2, n_rows, 1)
+    at = 4 + 2 * n_rows + n_cuts
+    cuts, run_rows = fields[4 + 2 * n_rows : at], fields[at : at + n_cuts + 1]
+    width = 2 * half_width + 3
+    ramp = np.arange(width, dtype=np.uint16)
+    cum = np.zeros((n_rows, width), dtype=np.uint32)
+    cum[ramp >= hi] = TOTAL + 1 - width
+    cum[(ramp >= lo) & (ramp < hi)] = fields[at + n_cuts + 1 :]
+    cum += ramp
+    # dimension j is in the run after every cut below j
+    rows = run_rows.astype(np.int32)[cuts.searchsorted(np.arange(d))]
+    return CdfTable(cum, rows, half_width), step
+
+
+def _held_bytes(key: tuple, blob: bytes) -> int:
+    """What a packed entry keeps alive besides its dict slot: its bytes,
+    its key, and the key's parts with their items (the side-info indices)."""
+    held = sys.getsizeof(blob) + sys.getsizeof(key)
+    for part in key:
+        held += sys.getsizeof(part)
+        if isinstance(part, tuple):
+            held += sum(map(sys.getsizeof, part))
+    return held
+
 
 class TableCache(dict):
     """FIFO memo of (CdfTable, step) entries holding at most MEMO_ROWS rows
     of counts; a miss costs one build_cdf. Each model owns one, filled by
-    `frame_tables`."""
+    `frame_tables`.
+
+    A table evicted from it moves to `packed`, a second FIFO of packed
+    entries that keeps at most PACKED_BYTES alive, from which `unpack`
+    restores it exactly for far less than a build. A restored table stays
+    packed too, so evicting it again packs nothing.
+    """
 
     rows = 0
+    packed_bytes = 0  # `_held_bytes` of every packed entry
+
+    def __init__(self):
+        super().__init__()
+        self.packed: dict[tuple, bytes] = {}
 
     def put(self, key: tuple, entry: tuple[CdfTable, float]) -> None:
         n = entry[0].cum.shape[0]
         while self and self.rows + n > MEMO_ROWS:
-            self.rows -= self.pop(next(iter(self)))[0].cum.shape[0]
+            old = next(iter(self))
+            table, step = self.pop(old)
+            self.rows -= table.cum.shape[0]
+            if old not in self.packed:
+                self._keep_packed(old, table, step)
         self.rows += n
         self[key] = entry
+
+    def _keep_packed(self, key: tuple, table: CdfTable, step: float) -> None:
+        blob = _pack(table, step)
+        if blob is None:
+            return
+        packed = self.packed
+        packed[key] = blob
+        self.packed_bytes += _held_bytes(key, blob)
+        # after the insertion, so that a resized dict is charged too
+        while self.packed_bytes + sys.getsizeof(packed) > PACKED_BYTES:
+            oldest = next(iter(packed))
+            self.packed_bytes -= _held_bytes(oldest, packed.pop(oldest))
+
+    def unpack(self, key: tuple) -> tuple[CdfTable, float] | None:
+        """The packed entry under `key`, restored into the memo, or None."""
+        blob = self.packed.get(key)
+        if blob is None:
+            return None
+        entry = _unpack(blob)
+        self.put(key, entry)
+        return entry
 
 
 def frame_tables(
@@ -313,7 +420,8 @@ def frame_tables(
 
     Sender and receiver both call this, so the receiver rebuilds exactly
     the tables the payload was coded with. The model memoizes them in its
-    own TableCache, created on first use.
+    own TableCache, created on first use, whose packed FIFO keeps the
+    tables of a whole stream for the receiver.
     """
     try:
         memo = model._tables  # type: ignore[attr-defined]
@@ -321,7 +429,7 @@ def frame_tables(
         memo = TableCache()
         object.__setattr__(model, "_tables", memo)
     key = (si.indices if si is not None else (), q_lambda)
-    entry = memo.get(key)
+    entry = memo.get(key) or memo.unpack(key)
     if entry is None:
         step = step_from_lambda(lambda_from_q(RateControl(q_lambda)))
         z_hat = None if si is None else rvq_decode(si, model.codebooks)

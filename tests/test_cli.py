@@ -265,13 +265,37 @@ def test_sweep_fec_with_more_stages_than_the_model_exits(workdir, model0, capsys
 
 
 def test_sweep_fec_checks_every_point_before_coding(workdir, capsys):
-    # the default values end with 6x1; the model has 2 stages
+    # the last point, 6x1, needs 6 stages; the model has 2
     d, wav, model, _ = workdir
     assert main(["sweep", "--input", str(wav), "--model", str(model), "--axis", "fec",
-                 "--out", str(d / "fec_default.csv")]) == 1
+                 "--values", "1x1,2x2,6x1", "--out", str(d / "fec_bad.csv")]) == 1
     captured = capsys.readouterr()
     assert "requested 6 side-info stages, model codebooks have 2" in captured.err
     assert "done" not in captured.out
+
+
+def test_sweep_fec_default_runs_on_the_default_model(workdir):
+    # calibrate makes 2 stages by default; the default points need at most 2
+    d, wav, model, _ = workdir
+    out = d / "fec_default.csv"
+    assert main(["sweep", "--input", str(wav), "--model", str(model), "--axis", "fec",
+                 "--out", str(out)]) == 0
+    labels = [line.split(",")[0] for line in out.read_text().splitlines()[2:]]
+    assert labels == ["fec1x1", "fec2x1", "fec2x2"]
+
+
+def test_container_with_frame_rate_zero_is_rejected(workdir, capsys):
+    # the u16 frame rate follows magic, version, CRC, rate index, stage
+    # count, offset count and the offsets
+    d, _, model, container = workdir
+    blob = bytearray(container.read_bytes())
+    at = 12 + blob[11]
+    assert int.from_bytes(blob[at : at + 2], "little") == 50
+    blob[at : at + 2] = bytes(2)
+    bad = d / "rate0.vxs"
+    bad.write_bytes(bytes(blob))
+    assert main(["simulate", "--container", str(bad), "--model", str(model)]) == 1
+    assert "error: frame rate 0 out of range 1..65535" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", [None, "{not json"])

@@ -3,6 +3,7 @@ import gc
 import hashlib
 import itertools
 import pickle
+import sys
 import tracemalloc
 import zlib
 from bisect import bisect_right
@@ -14,16 +15,21 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from voxfec.hyperprior import GaussianParams, SideInfo
+import voxfec.rangecoder as rangecoder
 from voxfec.rangecoder import (
     GUARD_BITS,
     GUARD_VALUE,
     HALF_WIDTH,
+    MEMO_ROWS,
+    PACKED_BYTES,
     Bitstream,
     CdfTable,
     DecodeFailure,
     TOTAL,
     TableCache,
     _largest_remainder,
+    _pack,
+    _unpack,
     build_cdf,
     decode_frame,
     encode_frame,
@@ -575,6 +581,21 @@ def integer_tables(draw):
 
 @settings(max_examples=300)
 @given(
+    tables=st.one_of(coded_frames().map(lambda frame: frame[0]), integer_tables()),
+    step=st.floats(1e-3, 4.0),
+)
+def test_packed_tables_unpack_exactly(tables, step):
+    # Gaussian tables of half width 1..300 with a row per dimension, and
+    # integer tables whose dimensions share rows out of order
+    back, back_step = _unpack(_pack(tables, step))
+    assert back.cum.dtype == tables.cum.dtype and np.array_equal(back.cum, tables.cum)
+    assert back.rows.dtype == tables.rows.dtype and np.array_equal(back.rows, tables.rows)
+    assert back.half_width == tables.half_width
+    assert back_step == step
+
+
+@settings(max_examples=300)
+@given(
     tables=st.one_of(integer_tables(), coded_frames().map(lambda frame: frame[0])),
     data=st.data(),
 )
@@ -634,3 +655,71 @@ def test_decoding_keeps_no_copy_of_the_table(speech_model):
     finally:
         tracemalloc.stop()
     assert kept < 2 * fresh.cum.nbytes + 16 * 1024
+
+
+def _band_table(step, rows=16, band=20):
+    """A table of the codec's shape: `rows` bands of `band` equal dims."""
+    rng = np.random.default_rng(rows)
+    mu = np.repeat(rng.normal(0, 2 * step, rows), band)
+    sigma = np.repeat(rng.uniform(2 * step, 6 * step, rows), band)
+    return build_cdf(GaussianParams(mu, sigma), step)
+
+
+def _fill(memo, table, n):
+    """Put `table` under n side-info-like keys, oldest first."""
+    keys = [((300 + k % 700, 300 + k // 700), 32) for k in range(n)]
+    for key in keys:
+        memo.put(key, (table, 0.5))
+    return keys
+
+
+def test_packed_memo_keeps_the_newest_evicted_tables_within_its_bytes():
+    # evicted tables move to the packed FIFO, which evicts the oldest first
+    # and keeps at most PACKED_BYTES, charged per entry and for its dict
+    assert PACKED_BYTES == 8 << 20
+    table = _band_table(0.5)
+    memo = TableCache()
+    keys = _fill(memo, table, 10_000)
+    live = MEMO_ROWS // 16
+    assert list(memo) == keys[-live:]
+    packed = list(memo.packed)
+    assert 3_000 < len(packed) < len(keys) - live
+    assert packed == keys[-live - len(packed) : -live]
+    held = memo.packed_bytes / len(packed)
+    charged = memo.packed_bytes + sys.getsizeof(memo.packed)
+    assert PACKED_BYTES - held < charged <= PACKED_BYTES
+    # the oldest packed table comes back exactly and joins the live memo;
+    # a table evicted from both is gone
+    back, step = memo.unpack(packed[0])
+    assert np.array_equal(back.cum, table.cum) and np.array_equal(back.rows, table.rows)
+    assert step == 0.5 and memo.get(packed[0]) == (back, step)
+    assert memo.unpack(keys[0]) is None
+
+
+@pytest.mark.parametrize("rows", [16, 1])
+def test_packed_memo_keeps_no_more_than_it_charges(speech_model, monkeypatch, rows):
+    # what the packed FIFO keeps alive once full, counted by tracemalloc:
+    # 16-row tables of the calibrated model at rate index 32, and 1-row
+    # tables, for which keys and dict slots outweigh the counts; a 1 MiB
+    # bound fills in fewer puts than the real one
+    budget = 1 << 20
+    monkeypatch.setattr(rangecoder, "PACKED_BYTES", budget)
+    if rows == 16:
+        table, _ = frame_tables(dataclasses.replace(speech_model), SideInfo((3, 9), 0), 32)
+    else:
+        table = _band_table(0.5, rows=1)
+    assert table.cum.shape[0] == rows
+    n = MEMO_ROWS // rows + budget // 256  # more than either kind fills
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        memo = TableCache()
+        _fill(memo, table, n)
+        dict.clear(memo)  # drop the live entries: only the packed ones stay
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(memo.packed) < n - MEMO_ROWS // rows
+    assert 0.8 * budget < kept <= budget

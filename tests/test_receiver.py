@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests.conftest import build_model
+import voxfec.rangecoder as rangecoder
 from voxfec.channel import LossTrace, gen_bernoulli
+from voxfec.corpus import speech_like_clip
 from voxfec.frontend import PcmClip
 from voxfec.hyperprior import SideInfo
 from voxfec.packets import FecConfig, Packet, parse, serialize
@@ -360,3 +364,28 @@ def test_each_emitted_frame_is_validated_once(tiny_model, every_path, monkeypatc
     packets, trace = every_path
     run_receiver(packets, trace, tiny_model, ReceiverConfig(FEC))
     assert checks == list(range(60))
+
+
+def test_receiver_reuses_the_encoders_tables(speech_model, monkeypatch):
+    # a stream with more distinct tables than the live memo holds: the
+    # receiver finds every one the encoder built, live or packed
+    fec = FecConfig(2, (1, 13))
+    clip = speech_like_clip(12.0, 4)
+    model = dataclasses.replace(speech_model)  # with its own, empty memo
+    res = encode_stream(clip, model, 32, fec)
+    memo = model._tables
+    assert len(memo.packed) > 0
+    assert len(set(memo) | set(memo.packed)) > rangecoder.MEMO_ROWS // 16
+    builds = []
+    build_cdf = rangecoder.build_cdf
+    monkeypatch.setattr(
+        rangecoder, "build_cdf", lambda *args: builds.append(1) or build_cdf(*args)
+    )
+    warm = decode_stream(res.packets, model, ReceiverConfig(fec), len(clip))
+    assert builds == []
+    cold = decode_stream(
+        res.packets, dataclasses.replace(speech_model), ReceiverConfig(fec), len(clip)
+    )
+    assert len(builds) > rangecoder.MEMO_ROWS // 16
+    assert np.array_equal(warm.clip.samples, cold.clip.samples)
+    assert np.array_equal(warm.codes, cold.codes) and warm.paths == cold.paths
