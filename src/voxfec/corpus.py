@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .frontend import FRAME_SAMPLES, PcmClip
+from .frontend import FRAME_SAMPLES, SAMPLE_RATE, PcmClip
 from .seeds import SplitMix, derive, uniforms
 
 _AMPLITUDE = 0.30
@@ -22,7 +22,7 @@ _IR_LEN = 160
 _P160_SHARE = 0.1  # share of voiced segments at 100 Hz instead of 50 Hz
 
 
-def _voiced_segment(n_samples: int, rng: SplitMix, rate: int) -> np.ndarray:
+def _voiced_segment(n_samples: int, rng: SplitMix) -> np.ndarray:
     period = 160 if rng.next_uniform() < _P160_SHARE else 320
     f1 = 300.0 + 500.0 * rng.next_uniform()
     f2 = 900.0 + 1500.0 * rng.next_uniform()
@@ -40,8 +40,8 @@ def _voiced_segment(n_samples: int, rng: SplitMix, rate: int) -> np.ndarray:
         f2 = float(np.clip(f2 * (1.0 + 0.9 * (rng.next_uniform() - 0.5)), 800.0, 2600.0))
         ir = (
             pulse
-            + np.exp(-tir / decay) * np.cos(2.0 * np.pi * f1 * tir / rate)
-            + 0.6 * np.exp(-tir / (decay * 0.7)) * np.cos(2.0 * np.pi * f2 * tir / rate)
+            + np.exp(-tir / decay) * np.cos(2.0 * np.pi * f1 * tir / SAMPLE_RATE)
+            + 0.6 * np.exp(-tir / (decay * 0.7)) * np.cos(2.0 * np.pi * f2 * tir / SAMPLE_RATE)
         )
         lo = fi * FRAME_SAMPLES
         hi = min(lo + FRAME_SAMPLES, n_samples)
@@ -54,7 +54,7 @@ def _voiced_segment(n_samples: int, rng: SplitMix, rate: int) -> np.ndarray:
     # syllabic amplitude envelope
     f_am = 4.0 + 4.0 * rng.next_uniform()
     t = np.arange(n_samples)
-    env = np.abs(np.sin(np.pi * f_am * t / rate + np.pi * rng.next_uniform())) ** 2.0
+    env = np.abs(np.sin(np.pi * f_am * t / SAMPLE_RATE + np.pi * rng.next_uniform())) ** 2.0
     return seg * env
 
 
@@ -65,8 +65,7 @@ def _unvoiced_segment(n_samples: int, rng: SplitMix) -> np.ndarray:
 
 def speech_like_clip(duration_s: float = 64.0, seed: int = 20260810) -> PcmClip:
     """Synthesize a deterministic speech-like clip of at least duration_s."""
-    rate = 16000
-    total = int(duration_s * rate)
+    total = int(duration_s * SAMPLE_RATE)
     total = -(-total // FRAME_SAMPLES) * FRAME_SAMPLES
     rng = SplitMix(derive(seed, 0xC0895))
     out = np.zeros(total)
@@ -76,7 +75,7 @@ def speech_like_clip(duration_s: float = 64.0, seed: int = 20260810) -> PcmClip:
         seg_frames = 15 + rng.next_u64() % 50  # 0.3 .. 1.3 s
         n = min(seg_frames * FRAME_SAMPLES, total - pos)
         if kind < 0.70:
-            seg = _voiced_segment(n, rng, rate)
+            seg = _voiced_segment(n, rng)
         elif kind < 0.90:
             seg = _unvoiced_segment(n, rng)
         else:

@@ -145,6 +145,10 @@ class CodecModel:
         object.__setattr__(
             self, "sigma_table", np.asarray(self.sigma_table, dtype=np.float64)
         )
+        # the DCT is square, and the sizes are u16 and u8 fields of the model file
+        if not (self.d_l == self.d_y and 1 <= self.d_y <= 0xFFFF and 0 <= self.q <= 0xFF):
+            raise ValueError(f"model sizes d_l {self.d_l}, d_y {self.d_y}, q {self.q}: "
+                             "need d_l = d_y in 1..65535 and q in 0..255")
         if self.d_z < 1:
             raise ValueError(f"side-info dimension {self.d_z} must be at least 1")
         if self.d_y % self.d_z != 0:

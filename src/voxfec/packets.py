@@ -275,30 +275,33 @@ def write_container(path, header: StreamHeader, packets: Sequence[Packet]) -> No
 
 
 def read_container(path) -> tuple[StreamHeader, list[Packet]]:
-    """Read a stream container back into header and packets."""
+    """Read a stream container back into header and packets. A file cut
+    short, or packet i carrying a frame index other than i, is rejected."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < 12 or blob[:4] != CONTAINER_MAGIC:
+    if blob[:4] != CONTAINER_MAGIC:
         raise ValueError("not a stream container")
     off = 4
-    version, model_crc, q_lambda, q, n_off = struct.unpack_from("<BIBBB", blob, off)
-    off += 8
+
+    def take(n: int) -> bytes:
+        nonlocal off
+        if off + n > len(blob):
+            raise ValueError("truncated container")
+        off += n
+        return blob[off - n : off]
+
+    version, model_crc, q_lambda, q, n_off = struct.unpack("<BIBBB", take(8))
     if version != CONTAINER_VERSION:
         raise ValueError(f"unsupported container version {version}")
-    offsets = tuple(blob[off : off + n_off])
-    off += n_off
-    frame_rate, sample_count, frame_count = struct.unpack_from("<HQI", blob, off)
-    off += 14
+    offsets = tuple(take(n_off))
+    frame_rate, sample_count, frame_count = struct.unpack("<HQI", take(14))
     fec = FecConfig(q, offsets, frame_rate)
     packets = []
     while off < len(blob):
-        if off + 4 > len(blob):
-            raise ValueError("truncated container")
-        (plen,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        if off + plen > len(blob):
-            raise ValueError("truncated container")
-        packet = parse(blob[off : off + plen])
+        (plen,) = struct.unpack("<I", take(4))
+        packet = parse(take(plen))
+        if packet.frame_index != len(packets):
+            raise ValueError(f"packet {len(packets)} carries frame index {packet.frame_index}")
         for _, si in packet.z_blocks:
             if si.stages != q:
                 raise ValueError(
@@ -306,7 +309,6 @@ def read_container(path) -> tuple[StreamHeader, list[Packet]]:
                     f"container header says {q}"
                 )
         packets.append(packet)
-        off += plen
     if len(packets) != frame_count:
         raise ValueError(
             f"container frame count {frame_count} does not match {len(packets)} packets"

@@ -286,8 +286,8 @@ def measure_rate(bits: Bitstream) -> int:
     return bits.bit_length
 
 
-# rows of counts a memo holds, 64 MiB / (30 B x 513 counts per row) rounded
-# down: 272 16-row tables, or all 638 2-row tables of criterion 3's stream
+# rows of counts a memo holds: 4,360 rows of 513 uint32 counts are 8.9 MB of
+# counts, 272 16-row tables, or all 638 2-row tables of criterion 3's stream
 MEMO_ROWS = 4360
 
 # bytes a memo's packed tables may keep alive, charged for each entry's
@@ -296,9 +296,8 @@ MEMO_ROWS = 4360
 PACKED_BYTES = 8 << 20
 
 
-def _pack(table: CdfTable, step: float) -> bytes | None:
-    """The table and its step in about a kilobyte, or None when its sizes
-    do not fit the uint16 fields.
+def _pack(table: CdfTable, step: float) -> bytes:
+    """The table and its step in about a kilobyte.
 
     Most counts of a row are 1. So a row's rise, its cumulative counts
     less a unit ramp, is 0 up to its first count above 1 and TOTAL + 1 -
@@ -311,8 +310,6 @@ def _pack(table: CdfTable, step: float) -> bytes | None:
     """
     cum, rows = table.cum, table.rows
     width = cum.shape[1]
-    if width >= 1 << 16 or rows.size >= 1 << 16:
-        return None
     rise = cum - np.arange(width, dtype=np.uint32)
     started = rise > 0
     done = rise == TOTAL + 1 - width
@@ -392,8 +389,6 @@ class TableCache(dict):
 
     def _keep_packed(self, key: tuple, table: CdfTable, step: float) -> None:
         blob = _pack(table, step)
-        if blob is None:
-            return
         packed = self.packed
         packed[key] = blob
         self.packed_bytes += _held_bytes(key, blob)

@@ -1,4 +1,6 @@
 import json
+import struct
+import zlib
 from hashlib import sha256
 
 import numpy as np
@@ -8,6 +10,7 @@ import voxfec.cli as cli
 from voxfec.cli import main
 from voxfec.corpus import speech_like_clip
 from voxfec.frontend import read_wav, write_wav
+from voxfec.packets import read_container, write_container
 
 
 @pytest.fixture(scope="module")
@@ -296,6 +299,46 @@ def test_container_with_frame_rate_zero_is_rejected(workdir, capsys):
     bad.write_bytes(bytes(blob))
     assert main(["simulate", "--container", str(bad), "--model", str(model)]) == 1
     assert "error: frame rate 0 out of range 1..65535" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("d_l", [0, 319])
+def test_encode_with_a_model_whose_frame_length_is_not_its_latent_dimension_exits(
+    workdir, capsys, d_l
+):
+    # a CRC-valid model file whose d_l, the u16 after magic and version, is edited
+    d, wav, model, _ = workdir
+    body = bytearray(model.read_bytes()[:-4])
+    struct.pack_into("<H", body, 6, d_l)
+    bad = d / f"dl{d_l}.vxm"
+    bad.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
+    assert main(["encode", "--input", str(wav), "--model", str(bad),
+                 "--out", str(d / "dl.vxs")]) == 1
+    assert f"error: model sizes d_l {d_l}, d_y 320, q 2: need" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ("cut", "truncated container"),
+        ("swap", "packet 0 carries frame index 1"),
+        ("dup", "packet 1 carries frame index 0"),
+    ],
+    ids=["cut", "swap", "dup"],
+)
+def test_simulate_on_a_damaged_container_exits(workdir, capsys, edit, message):
+    # cut to 20 bytes, inside its 28-byte header; packets 0 and 1 swapped;
+    # packet 0 written again in place of packet 1
+    d, _, model, container = workdir
+    bad = d / f"{edit}.vxs"
+    header, packets = read_container(container)
+    if edit == "cut":
+        bad.write_bytes(container.read_bytes()[:20])
+    elif edit == "swap":
+        write_container(bad, header, [packets[1], packets[0], *packets[2:]])
+    else:
+        write_container(bad, header, [packets[0], packets[0], *packets[2:]])
+    assert main(["simulate", "--container", str(bad), "--model", str(model)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", [None, "{not json"])

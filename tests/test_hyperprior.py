@@ -4,6 +4,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voxfec.hyperprior import (
     CODEBOOK_SIZE,
@@ -260,6 +262,73 @@ def test_model_file_rejects_zero_side_info_dimension(tmp_path):
     path.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
     with pytest.raises(ValueError, match="side-info dimension 0 must be at least 1"):
         load_model(path)
+
+
+@pytest.mark.parametrize("d_y, q", [(65536, 0), (16, 256)])
+def test_model_rejects_sizes_its_file_cannot_hold(d_y, q):
+    # d_y is a u16 field of the model file and q a u8 one
+    books = RvqCodebooks(np.zeros((q, CODEBOOK_SIZE, 1))) if q else None
+    with pytest.raises(ValueError, match=f"model sizes d_l {d_y}, d_y {d_y}, q {q}: need"):
+        CodecModel(
+            d_l=d_y,
+            d_y=d_y,
+            d_z=1,
+            q=q,
+            sigma_min=0.05 / 1024,
+            rho=0.9,
+            kappa=4.0,
+            sigma_table=np.ones(d_y),
+            tokens=ConfidenceTokens.zeros(d_y, max(q, 1), 1),
+            codebooks=books,
+        )
+
+
+@pytest.fixture(scope="module")
+def model_file(tmp_path_factory, tiny_model):
+    """The tiny model's file bytes, and a path to write edited copies to."""
+    d = tmp_path_factory.mktemp("model")
+    save_model(d / "m.vxm", tiny_model)
+    return (d / "m.vxm").read_bytes(), d / "edited.vxm"
+
+
+def _load_bytes(path, blob):
+    path.write_bytes(blob)
+    return load_model(path)
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_model_file_cut_anywhere_is_rejected(model_file, data):
+    blob, path = model_file
+    with pytest.raises(ValueError):
+        _load_bytes(path, blob[: data.draw(st.integers(0, len(blob) - 1))])
+
+
+# the model file's integer header fields: offset and struct format
+_MODEL_FIELDS = {
+    "version": (4, "<H"),
+    "d_l": (6, "<H"),
+    "d_y": (8, "<H"),
+    "d_z": (10, "<H"),
+    "q": (12, "<B"),
+}
+
+
+@settings(max_examples=200)
+@given(field=st.sampled_from(sorted(_MODEL_FIELDS)), data=st.data())
+def test_model_file_header_edits_load_the_same_model_or_are_rejected(model_file, field, data):
+    # one integer header field set to any value it can hold, the CRC
+    # recomputed: the file loads only when the value is unchanged
+    blob, path = model_file
+    at, fmt = _MODEL_FIELDS[field]
+    value = data.draw(st.integers(0, (1 << 8 * struct.calcsize(fmt)) - 1))
+    body = bytearray(blob[:-4])
+    struct.pack_into(fmt, body, at, value)
+    try:
+        model = _load_bytes(path, bytes(body) + struct.pack("<I", zlib.crc32(body)))
+    except ValueError:
+        return
+    assert bytes(body) == blob[:-4] and model.content_crc == zlib.crc32(body)
 
 
 def test_model_rejects_codebooks_of_another_dimension():

@@ -1,4 +1,5 @@
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -257,6 +258,75 @@ def test_container_rejects_stage_count_other_than_header(tmp_path):
     header = StreamHeader(0, 7, FecConfig(0, ()), 6400, 20)
     write_container(path, header, bare)
     assert read_container(path) == (header, bare)
+
+
+@pytest.fixture(scope="module")
+def container(tmp_path_factory):
+    """A 20-packet container's header bytes, its packets with their
+    length-prefixed records, and a path to write edited copies to."""
+    cfg = FecConfig(2, (1, 13))
+    packets = build_stream(20, cfg)
+    path = tmp_path_factory.mktemp("container") / "s.vxs"
+    write_container(path, StreamHeader(0xDEADBEEF, 12, cfg, 6400, 20), packets)
+    records = [struct.pack("<I", len(b)) + b for b in map(serialize, packets)]
+    body = b"".join(records)
+    blob = path.read_bytes()
+    assert blob.endswith(body)
+    return blob[: -len(body)], records, packets, path
+
+
+def _read_bytes(path, blob):
+    path.write_bytes(blob)
+    return read_container(path)
+
+
+def test_container_cut_at_any_length_is_rejected(container):
+    head, records, _, path = container
+    blob = head + b"".join(records)
+    for cut in range(len(blob)):
+        with pytest.raises(ValueError):
+            _read_bytes(path, blob[:cut])
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_container_byte_flip_loads_the_same_packets_or_is_rejected(container, data):
+    # the header has no checksum of its own, so a flip in it may load as
+    # another header value; a flip in a packet or its length never loads
+    head, records, packets, path = container
+    blob = bytearray(head + b"".join(records))
+    at = data.draw(st.integers(0, len(blob) - 1))
+    blob[at] ^= data.draw(st.integers(1, 255))
+    try:
+        _, got = _read_bytes(path, bytes(blob))
+    except ValueError:
+        return
+    assert at < len(head) and got == packets
+
+
+@st.composite
+def reorders(draw, n):
+    """Packet order 0..n-1 with two packets swapped, one written twice, or
+    one dropped."""
+    order = list(range(n))
+    i = draw(st.integers(0, n - 1))
+    kind = draw(st.sampled_from(["swap", "duplicate", "drop"]))
+    if kind == "swap":
+        j = draw(st.integers(0, n - 1).filter(lambda j: j != i))
+        order[i], order[j] = order[j], order[i]
+    elif kind == "duplicate":
+        order.insert(draw(st.integers(0, n)), i)
+    else:
+        del order[i]
+    return order
+
+
+@settings(max_examples=200)
+@given(order=reorders(20))
+def test_container_with_packets_swapped_duplicated_or_dropped_is_rejected(container, order):
+    head, records, _, path = container
+    with pytest.raises(ValueError):
+        _read_bytes(path, head + b"".join(records[k] for k in order))
 
 
 @st.composite
