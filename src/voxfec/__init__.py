@@ -24,6 +24,8 @@ from .frontend import (
     SAMPLE_RATE,
     frame_decode,
     frame_encode,
+    frame_rows,
+    pcm_from_rows,
     read_wav,
     write_wav,
 )
@@ -79,11 +81,14 @@ from .transform import (
     QuantizedLatent,
     RateControl,
     analysis,
+    analysis_rows,
     dequantize,
     lambda_from_q,
     quantize,
+    quantize_indices,
     step_from_lambda,
     synthesis,
+    synthesis_rows,
 )
 
 __version__ = "0.1.0"

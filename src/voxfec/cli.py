@@ -28,7 +28,7 @@ from .channel import (
     stationary_loss_rate,
     trace_stats,
 )
-from .frontend import FRAME_SAMPLES, frame_encode, read_wav, write_wav
+from .frontend import FRAME_SAMPLES, frame_rows, read_wav, write_wav
 from .hyperprior import CodecModel, ConfidenceTokens, calibrate, load_model, save_model
 from .hyperprior import D_Z_DEFAULT, KAPPA_DEFAULT, RHO_DEFAULT, SIGMA_MIN_DEFAULT
 from .metrics import WaveMetrics, compute_metrics
@@ -41,7 +41,7 @@ from .packets import (
 )
 from .pipeline import decode_stream, encode_stream, simulate_stream
 from .receiver import ReceiverConfig
-from .transform import analysis
+from .transform import analysis_rows
 
 METRICS_SCHEMA = "# voxfec metrics v1"
 REPORT_SCHEMA = "# voxfec receiver-report v1"
@@ -203,12 +203,9 @@ def cmd_calibrate(args) -> int:
     stages = int(_merged(args, "stages", 2))
     seed = int(_merged(args, "seed", 1))
     out = _require(args, "out")
-    codes = []
-    for path in inputs:
-        clip = read_wav(path)
-        for f in frame_encode(clip, FRAME_SAMPLES):
-            codes.append(analysis(f).coeffs)
-    codes = np.stack(codes)
+    codes = np.concatenate(
+        [analysis_rows(frame_rows(read_wav(path), FRAME_SAMPLES)) for path in inputs]
+    )
     books, sigma_table = calibrate(codes, stages, seed, d_z=D_Z_DEFAULT)
     d_y = codes.shape[1]
     tokens = ConfidenceTokens.zeros(d_y, max(stages, 1), D_Z_DEFAULT)

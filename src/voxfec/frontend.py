@@ -52,26 +52,37 @@ class LatentFrame:
             raise ValueError("negative frame index")
 
 
-def frame_encode(clip: PcmClip, frame_len: int = FRAME_SAMPLES) -> list[LatentFrame]:
-    """Split a clip into frames of samples scaled to [-1, 1).
+def frame_rows(clip: PcmClip, frame_len: int = FRAME_SAMPLES) -> np.ndarray:
+    """A clip as a (frames, frame_len) matrix of samples scaled to [-1, 1).
 
     The last frame is zero-padded so every frame has exactly `frame_len`
-    coefficients.
+    samples.
     """
     x = clip.samples.astype(np.float64) / PCM_SCALE
     if x.size == 0:
         raise ValueError("empty input")
-    n_frames = -(-x.size // frame_len)
-    padded = np.zeros(n_frames * frame_len)
-    padded[: x.size] = x
-    return [
-        LatentFrame(padded[t * frame_len : (t + 1) * frame_len], t)
-        for t in range(n_frames)
-    ]
+    rows = np.zeros((-(-x.size // frame_len), frame_len))
+    rows.reshape(-1)[: x.size] = x
+    return rows
+
+
+def pcm_from_rows(rows: np.ndarray, original_len: int) -> PcmClip:
+    """Concatenate frames of samples into PCM, saturating and truncating to
+    original_len."""
+    flat = np.ravel(rows)
+    if original_len < 1 or original_len > flat.size:
+        raise ValueError(f"invalid original length {original_len}")
+    pcm = np.clip(np.rint(flat[:original_len] * PCM_SCALE), -32768, 32767)
+    return PcmClip(pcm.astype(np.int16))
+
+
+def frame_encode(clip: PcmClip, frame_len: int = FRAME_SAMPLES) -> list[LatentFrame]:
+    """Split a clip into frames; see `frame_rows`."""
+    return [LatentFrame(row, t) for t, row in enumerate(frame_rows(clip, frame_len))]
 
 
 def frame_decode(frames: Sequence[LatentFrame], original_len: int) -> PcmClip:
-    """Reassemble frames into PCM, saturating and truncating to original_len."""
+    """Reassemble consecutive frames into PCM; see `pcm_from_rows`."""
     if not frames:
         raise ValueError("empty input")
     for prev, cur in zip(frames, frames[1:]):
@@ -79,11 +90,7 @@ def frame_decode(frames: Sequence[LatentFrame], original_len: int) -> PcmClip:
             raise ValueError(
                 f"discontinuous stream: frame {cur.frame_index} after {prev.frame_index}"
             )
-    flat = np.concatenate([f.coeffs for f in frames])
-    if original_len < 1 or original_len > flat.size:
-        raise ValueError(f"invalid original length {original_len}")
-    pcm = np.clip(np.rint(flat[:original_len] * PCM_SCALE), -32768, 32767)
-    return PcmClip(pcm.astype(np.int16))
+    return pcm_from_rows(np.concatenate([f.coeffs for f in frames]), original_len)
 
 
 def read_wav(path) -> PcmClip:

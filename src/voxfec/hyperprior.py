@@ -76,6 +76,11 @@ class RvqCodebooks:
     def checksum(self) -> int:
         return zlib.crc32(self.stages.tobytes()) & 0xFFFFFFFF
 
+    @cached_property
+    def norms(self) -> np.ndarray:
+        """Squared norm of every centroid, (n_stages, CODEBOOK_SIZE)."""
+        return np.stack([np.einsum("kd,kd->k", cents, cents) for cents in self.stages])
+
     @property
     def n_stages(self) -> int:
         return int(self.stages.shape[0])
@@ -184,13 +189,14 @@ class CodecModel:
 
 
 def hyper_analysis(coeffs: np.ndarray, d_z: int) -> np.ndarray:
-    """Pool a latent code into d_z band means."""
+    """Pool a latent code, or each row of a matrix of them, into d_z band
+    means along the last axis."""
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    if coeffs.size % d_z != 0:
+    if coeffs.shape[-1] % d_z != 0:
         raise ValueError(
-            f"latent dimension {coeffs.size} not divisible by side-info dimension {d_z}"
+            f"latent dimension {coeffs.shape[-1]} not divisible by side-info dimension {d_z}"
         )
-    return coeffs.reshape(d_z, -1).mean(axis=1)
+    return coeffs.reshape(*coeffs.shape[:-1], d_z, -1).mean(axis=-1)
 
 
 def rvq_encode(
@@ -210,7 +216,7 @@ def rvq_encode(
     indices = []
     for s in range(q):
         cents = books.stages[s]
-        d2 = np.einsum("kd,kd->k", cents, cents) - 2.0 * (cents @ residual)
+        d2 = books.norms[s] - 2.0 * (cents @ residual)
         idx = int(np.argmin(d2))
         indices.append(idx)
         residual -= cents[idx]
@@ -304,12 +310,8 @@ def calibrate(
     """
     codes = np.asarray(codes, dtype=np.float64)
     n, d_y = codes.shape
-    if d_y % d_z != 0:
-        raise ValueError(
-            f"latent dimension {d_y} not divisible by side-info dimension {d_z}"
-        )
+    vectors = hyper_analysis(codes, d_z)
     block = d_y // d_z
-    vectors = codes.reshape(n, d_z, block).mean(axis=2)
     if q > 0 and n < 100 * CODEBOOK_SIZE:
         warnings.warn(
             f"calibration corpus has {n} vectors, below the recommended "

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import LossTrace
-from .frontend import PcmClip, frame_decode, frame_encode
+from .frontend import PcmClip, frame_rows, pcm_from_rows
 from .hyperprior import CodecModel, hyper_analysis, rvq_encode
 from .packets import (
     BitrateReport,
@@ -19,7 +19,13 @@ from .packets import (
 )
 from .rangecoder import encode_frame, frame_tables
 from .receiver import DecodedFrame, LostPacket, Receiver, ReceiverConfig, ReceiverReport
-from .transform import analysis, quantize, synthesis
+from .transform import (
+    QuantizedLatent,
+    RateControl,
+    analysis_rows,
+    quantize_indices,
+    synthesis_rows,
+)
 
 
 @dataclass(frozen=True)
@@ -44,24 +50,25 @@ def encode_stream(
     q_lambda: int,
     fec: FecConfig,
 ) -> EncodeResult:
-    """Run the sender: frame, transform, summarize, quantize, pack."""
+    """Run the sender: frame, transform, summarize, quantize, pack.
+
+    Framing, the DCT, the pooling and the quantizer each run once over the
+    clip's (frames, d_y) matrix. The RVQ search stays per frame: a matrix
+    product over all frames can round the distances differently.
+    """
     model.check_stages(fec.q)
-    frames = frame_encode(clip, model.d_l)
-    y_ref = np.empty((len(frames), model.d_y))
+    y_ref = analysis_rows(frame_rows(clip, model.d_l))
+    indices = quantize_indices(y_ref, RateControl(q_lambda).step)
+    z = hyper_analysis(y_ref, model.d_z) if fec.q > 0 else None
     z_cache = {}
     packets = []
-    for f in frames:
-        t = f.frame_index
-        y = analysis(f)
-        y_ref[t] = y.coeffs
+    for t in range(len(y_ref)):
         si = None
         if fec.q > 0:
-            z = hyper_analysis(y.coeffs, model.d_z)
-            si = rvq_encode(z, model.codebooks, fec.q, t)
+            si = rvq_encode(z[t], model.codebooks, fec.q, t)
             z_cache[t] = si
-        tables, step = frame_tables(model, si, q_lambda)
-        yq = quantize(y, step)
-        payload = encode_frame(yq, tables)
+        tables, _ = frame_tables(model, si, q_lambda)
+        payload = encode_frame(QuantizedLatent(indices[t], t), tables)
         packets.append(build_packet(t, payload, z_cache, fec, q_lambda))
         # no later packet carries a backup of frame t - max_offset
         z_cache.pop(t - fec.max_offset, None)
@@ -104,12 +111,17 @@ def simulate_stream(
     config: ReceiverConfig,
     sample_count: int,
 ) -> SimResult:
-    """Receiver run plus waveform reconstruction."""
+    """Receiver run plus waveform reconstruction: one inverse DCT over the
+    emitted codes. `sample_count` must need exactly one frame per packet."""
+    if sample_count < 1 or -(-sample_count // model.d_l) != len(packets):
+        raise ValueError(
+            f"sample count {sample_count} does not match {len(packets)} frames "
+            f"of {model.d_l} samples"
+        )
     decoded, report = run_receiver(packets, trace, model, config)
-    codes = np.stack([d.code.coeffs for d in decoded]) if decoded else np.empty((0, model.d_y))
+    codes = np.stack([d.code.coeffs for d in decoded])
     paths = [d.path for d in decoded]
-    frames = [synthesis(d.code) for d in decoded]
-    clip = frame_decode(frames, sample_count)
+    clip = pcm_from_rows(synthesis_rows(codes), sample_count)
     return SimResult(clip, codes, paths, report)
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .hyperprior import CodecModel, GaussianParams, SideInfo, hyper_synthesis, rvq_decode
-from .transform import QuantizedLatent, RateControl, lambda_from_q, step_from_lambda
+from .transform import QuantizedLatent, RateControl
 
 PRECISION = 16
 TOTAL = 1 << PRECISION
@@ -426,7 +426,7 @@ def frame_tables(
     key = (si.indices if si is not None else (), q_lambda)
     entry = memo.get(key) or memo.unpack(key)
     if entry is None:
-        step = step_from_lambda(lambda_from_q(RateControl(q_lambda)))
+        step = RateControl(q_lambda).step
         z_hat = None if si is None else rvq_decode(si, model.codebooks)
         entry = (build_cdf(hyper_synthesis(z_hat, model), step), step)
         memo.put(key, entry)

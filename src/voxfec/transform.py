@@ -1,10 +1,12 @@
 """Analysis/synthesis transforms, scalar quantization, and rate control.
 
-The analysis transform is an orthonormal per-frame DCT-II and the synthesis
-transform its exact inverse, so frame energy is preserved and the pair
-round-trips to floating-point precision. The rate index maps log-linearly
-onto the rate-distortion multiplier; the quantizer step follows a
-square-root law in the multiplier.
+The analysis transform is an orthonormal DCT-II of each frame and the
+synthesis transform its exact inverse, so frame energy is preserved and the
+pair round-trips to floating-point precision. The transforms and the
+quantizer take a whole (frames, d) matrix in one call and give each row the
+same bytes as a call on that row alone; the per-frame forms wrap them. The
+rate index maps log-linearly onto the rate-distortion multiplier; the
+quantizer step follows a square-root law in the multiplier.
 """
 
 from __future__ import annotations
@@ -32,6 +34,11 @@ class RateControl:
     def __post_init__(self):
         if not 0 <= self.q_lambda < Q_NUM:
             raise ValueError(f"invalid rate index {self.q_lambda}, expected 0..{Q_NUM - 1}")
+
+    @property
+    def step(self) -> float:
+        """Quantizer step at this rate index."""
+        return step_from_lambda(lambda_from_q(self))
 
 
 @dataclass(frozen=True)
@@ -74,23 +81,37 @@ def step_from_lambda(lam: float) -> float:
     return STEP_REF * math.sqrt(lam / LAMBDA_MIN)
 
 
+def analysis_rows(x: np.ndarray) -> np.ndarray:
+    """Orthonormal DCT-II of each row (the last axis)."""
+    return scipy.fft.dct(x, type=2, norm="ortho")
+
+
+def synthesis_rows(y: np.ndarray) -> np.ndarray:
+    """Inverse orthonormal DCT-II of each row (the last axis)."""
+    return scipy.fft.idct(y, type=2, norm="ortho")
+
+
+def quantize_indices(c: np.ndarray, step: float) -> np.ndarray:
+    """Round every coefficient to the nearest step multiple, ties away from
+    zero; returns the int64 multiples."""
+    if step <= 0:
+        raise ValueError(f"non-positive step {step}")
+    return (np.sign(c) * np.floor(np.abs(c) / step + 0.5)).astype(np.int64)
+
+
 def analysis(frame: LatentFrame) -> LatentCode:
     """Orthonormal DCT-II of a frame."""
-    return LatentCode(scipy.fft.dct(frame.coeffs, type=2, norm="ortho"), frame.frame_index)
+    return LatentCode(analysis_rows(frame.coeffs), frame.frame_index)
 
 
 def synthesis(code: LatentCode) -> LatentFrame:
     """Inverse orthonormal DCT-II."""
-    return LatentFrame(scipy.fft.idct(code.coeffs, type=2, norm="ortho"), code.frame_index)
+    return LatentFrame(synthesis_rows(code.coeffs), code.frame_index)
 
 
 def quantize(code: LatentCode, step: float) -> QuantizedLatent:
     """Round coefficients to the nearest step multiple, ties away from zero."""
-    if step <= 0:
-        raise ValueError(f"non-positive step {step}")
-    c = code.coeffs
-    indices = (np.sign(c) * np.floor(np.abs(c) / step + 0.5)).astype(np.int64)
-    return QuantizedLatent(indices, code.frame_index)
+    return QuantizedLatent(quantize_indices(code.coeffs, step), code.frame_index)
 
 
 def dequantize(yq: QuantizedLatent, step: float) -> LatentCode:

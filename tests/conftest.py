@@ -5,9 +5,9 @@ import pytest
 from hypothesis import settings
 
 from voxfec.corpus import speech_like_clip
-from voxfec.frontend import frame_encode
+from voxfec.frontend import frame_rows
 from voxfec.hyperprior import CodecModel, ConfidenceTokens, calibrate
-from voxfec.transform import analysis
+from voxfec.transform import analysis_rows
 
 # Timings on a shared machine drift by up to 1.6x, so a per-example
 # deadline would make properties flake; none has one.
@@ -51,7 +51,7 @@ def speech_clip():
 
 @pytest.fixture(scope="session")
 def speech_codes(speech_clip):
-    return np.stack([analysis(f).coeffs for f in frame_encode(speech_clip)])
+    return analysis_rows(frame_rows(speech_clip))
 
 
 @pytest.fixture(scope="session")

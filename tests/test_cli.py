@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 import zlib
@@ -322,12 +323,14 @@ def test_encode_with_a_model_whose_frame_length_is_not_its_latent_dimension_exit
         ("cut", "truncated container"),
         ("swap", "packet 0 carries frame index 1"),
         ("dup", "packet 1 carries frame index 0"),
+        ("short", "sample count 64000 does not match 400 frames of 320 samples"),
     ],
-    ids=["cut", "swap", "dup"],
+    ids=["cut", "swap", "dup", "short"],
 )
 def test_simulate_on_a_damaged_container_exits(workdir, capsys, edit, message):
     # cut to 20 bytes, inside its 28-byte header; packets 0 and 1 swapped;
-    # packet 0 written again in place of packet 1
+    # packet 0 written again in place of packet 1; the header's sample count
+    # halved, so it no longer needs one frame per packet
     d, _, model, container = workdir
     bad = d / f"{edit}.vxs"
     header, packets = read_container(container)
@@ -335,8 +338,11 @@ def test_simulate_on_a_damaged_container_exits(workdir, capsys, edit, message):
         bad.write_bytes(container.read_bytes()[:20])
     elif edit == "swap":
         write_container(bad, header, [packets[1], packets[0], *packets[2:]])
-    else:
+    elif edit == "dup":
         write_container(bad, header, [packets[0], packets[0], *packets[2:]])
+    else:
+        short = dataclasses.replace(header, sample_count=header.sample_count // 2)
+        write_container(bad, short, packets)
     assert main(["simulate", "--container", str(bad), "--model", str(model)]) == 1
     assert f"error: {message}" in capsys.readouterr().err
 

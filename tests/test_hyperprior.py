@@ -49,6 +49,21 @@ def test_hyper_analysis_zero_constant_and_oracle():
 def test_hyper_analysis_dimension_mismatch():
     with pytest.raises(ValueError, match="not divisible"):
         hyper_analysis(np.zeros(10), 3)
+    # 30 values divide by 3, but each 10-dim row does not
+    with pytest.raises(ValueError, match="latent dimension 10 not divisible"):
+        hyper_analysis(np.zeros((3, 10)), 3)
+
+
+def test_hyper_analysis_pools_each_row_of_a_matrix():
+    y = np.arange(640.0).reshape(2, 320)
+    got = hyper_analysis(y, 16)
+    assert got.shape == (2, 16)
+    assert got[0, 0] == 9.5 and got[1, 0] == 329.5
+    rng = np.random.default_rng(5)
+    y = rng.normal(size=(50, 320))
+    got = hyper_analysis(y, 16)
+    for t in range(50):
+        assert got[t].tobytes() == hyper_analysis(y[t], 16).tobytes()
 
 
 def test_rvq_toy_example():
@@ -57,6 +72,17 @@ def test_rvq_toy_example():
     assert si.indices == (1, 1)
     recon = rvq_decode(si, books)
     assert np.allclose(recon, [1.5, 0.5])
+
+
+def test_rvq_norms_are_the_squared_centroid_norms(tiny_model):
+    books = toy_books()
+    assert books.norms.shape == (2, CODEBOOK_SIZE)
+    assert books.norms[0, :2].tolist() == [0.0, 2.0]
+    assert books.norms[1, :2].tolist() == [0.0, 0.5]
+    assert books.norms[0, 2] == 2e12
+    books = tiny_model.codebooks
+    assert books.norms is books.norms
+    assert np.allclose(books.norms, (books.stages**2).sum(axis=2), rtol=1e-14, atol=0)
 
 
 def test_rvq_exact_match_case():

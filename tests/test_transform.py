@@ -2,17 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from voxfec.frontend import LatentFrame
+from voxfec.frontend import LatentFrame, frame_encode
 from voxfec.transform import (
     LatentCode,
     RateControl,
     analysis,
+    analysis_rows,
     dequantize,
     lambda_from_q,
     quantize,
+    quantize_indices,
     step_from_lambda,
     synthesis,
+    synthesis_rows,
 )
 
 # frozen golden values, computed with mpmath at 40 digits
@@ -102,6 +107,33 @@ def test_transform_energy_and_round_trip():
         assert abs(e_out - e_in) <= 1e-9 * max(e_in, 1e-30)
         back = synthesis(code)
         assert np.max(np.abs(back.coeffs - x)) <= 1e-9
+
+
+@given(
+    d=st.sampled_from([4, 8, 20, 320, 321]),
+    n=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    q_lambda=st.integers(0, 63),
+)
+def test_row_transforms_match_the_per_frame_calls(d, n, seed, q_lambda):
+    # one call over a (frames, d) matrix gives each frame's bytes exactly
+    rng = np.random.default_rng(seed)
+    x = rng.normal(0.0, 0.1, size=(n, d))
+    y = analysis_rows(x)
+    back = synthesis_rows(y)
+    step = RateControl(q_lambda).step
+    indices = quantize_indices(y, step)
+    for t in range(n):
+        code = analysis(LatentFrame(x[t], t))
+        assert y[t].tobytes() == code.coeffs.tobytes()
+        assert back[t].tobytes() == synthesis(LatentCode(y[t], t)).coeffs.tobytes()
+        assert indices[t].tobytes() == quantize(code, step).indices.tobytes()
+
+
+def test_speech_codes_match_the_per_frame_loop(speech_clip, speech_codes):
+    # the fixture frames and transforms the clip in one call each
+    want = np.stack([analysis(f).coeffs for f in frame_encode(speech_clip)])
+    assert speech_codes.tobytes() == want.tobytes()
 
 
 def test_synthesis_dc_only():
