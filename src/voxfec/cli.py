@@ -10,10 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
-from functools import partial
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +37,7 @@ from .packets import (
 )
 from .pipeline import decode_stream, encode_stream, simulate_stream
 from .receiver import ReceiverConfig
-from .transform import analysis_rows
+from .transform import RateControl, analysis_rows
 
 METRICS_SCHEMA = "# voxfec metrics v1"
 REPORT_SCHEMA = "# voxfec receiver-report v1"
@@ -67,7 +63,7 @@ def _load_config(path: str | None) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
-        raise SystemExit("config file must contain a JSON object")
+        raise ValueError("config file must contain a JSON object")
     return cfg
 
 
@@ -81,7 +77,7 @@ def _merged(args: argparse.Namespace, key: str, default=None):
 def _require(args: argparse.Namespace, key: str):
     val = _merged(args, key)
     if val is None:
-        raise SystemExit(f"missing required option --{key.replace('_', '-')}")
+        raise ValueError(f"missing required option --{key.replace('_', '-')}")
     return val
 
 
@@ -105,7 +101,7 @@ def _collect_wavs(path: str) -> list[Path]:
     if p.is_dir():
         files = sorted(p.glob("*.wav"))
         if not files:
-            raise SystemExit(f"no .wav files under {p}")
+            raise ValueError(f"no .wav files under {p}")
         return files
     return [p]
 
@@ -123,10 +119,10 @@ def _trace_for(args, length: int, seed: int):
         raw = _merged(args, "markov_params")
         if raw is not None:
             if not isinstance(raw, dict):
-                raise SystemExit("markov_params must be a JSON object")
+                raise ValueError("markov_params must be a JSON object")
             for key in ("transition", "loss_probs"):
                 if key not in raw:
-                    raise SystemExit(f"markov_params lacks {key!r}")
+                    raise ValueError(f"markov_params lacks {key!r}")
             params = Markov3Params(
                 np.asarray(raw["transition"], dtype=float),
                 np.asarray(raw["loss_probs"], dtype=float),
@@ -136,7 +132,7 @@ def _trace_for(args, length: int, seed: int):
         else:
             preset = _merged(args, "preset", "burst10")
             if preset not in PRESETS:
-                raise SystemExit(f"unknown preset {preset!r}; have {sorted(PRESETS)}")
+                raise ValueError(f"unknown preset {preset!r}; have {sorted(PRESETS)}")
             params = PRESETS[preset]
             label = f"preset {preset}"
         print(f"{label}: analytic loss rate {_fmt(stationary_loss_rate(params))}")
@@ -145,11 +141,9 @@ def _trace_for(args, length: int, seed: int):
         path = _require(args, "trace_file")
         tr = load_trace(path)
         if len(tr) < length:
-            raise SystemExit(
-                f"trace has {len(tr)} entries, stream needs {length}"
-            )
+            raise ValueError(f"trace has {len(tr)} entries, stream needs {length}")
         return tr
-    raise SystemExit(f"unknown channel {channel!r}")
+    raise ValueError(f"unknown channel {channel!r}")
 
 
 def _metrics_row(
@@ -252,7 +246,7 @@ def _open_stream(args):
     header, packets = read_container(_require(args, "container"))
     model = load_model(_require(args, "model"))
     if model.content_crc != header.model_crc:
-        raise SystemExit("model checksum mismatch: container was encoded with a different model")
+        raise ValueError("model checksum mismatch: container was encoded with a different model")
     delay = _merged(args, "delay")
     config = ReceiverConfig(header.fec, None if delay is None else int(delay))
     return header, packets, model, config
@@ -300,19 +294,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _sweep_point(clip, model, result, loss_rate, delay, seed):
-    trace = gen_bernoulli(loss_rate, len(result.packets), seed) if loss_rate > 0 else None
-    config = ReceiverConfig(result.header.fec, delay)
-    sim = simulate_stream(result.packets, trace, model, config, result.header.sample_count)
-    wave = compute_metrics(clip, sim.clip)
-    return result.report, wave, sim.report
-
-
-def _encode_and_sweep(clip, model, q_lambda, fec, loss_rate, delay, seed):
-    result = encode_stream(clip, model, q_lambda, fec)
-    return _sweep_point(clip, model, result, loss_rate, delay, seed)
-
-
 def cmd_sweep(args) -> int:
     clip = read_wav(_require(args, "input"))
     model = load_model(_require(args, "model"))
@@ -326,44 +307,43 @@ def cmd_sweep(args) -> int:
     fec = _fec_from_args(args)
     out = _require(args, "out")
 
-    # each point calls fn(clip, model, *column values, delay=, seed=)
+    # points are (label, rate index, fec, loss rate), all checked before any is coded
     if axis == "q_lambda":
         vals = [int(v) for v in str(values or "0,8,16,24,32,40,48,56,63").split(",")]
         model.check_stages(fec.q)
-        labels = [f"q{v}" for v in vals]
-        fn, columns = _encode_and_sweep, (vals, repeat(fec), repeat(loss_rate))
+        points = [(f"q{v}", v, fec, loss_rate) for v in vals]
     elif axis == "loss":
         vals = [float(v) for v in str(values or "0,0.05,0.1,0.2,0.3").split(",")]
-        labels = [f"p{_fmt(v)}" for v in vals]
-        # the encoding does not depend on the loss rate
-        result = encode_stream(clip, model, q_lambda, fec)
-        fn, columns = _sweep_point, (repeat(result), vals)
+        points = [(f"p{_fmt(v)}", q_lambda, fec, v) for v in vals]
     elif axis == "fec":
-        labels, cfgs = [], []
+        points = []
         for v in str(values or "1x1,2x1,2x2").split(","):
             try:
                 q, n = map(int, v.lower().split("x"))
             except ValueError:
-                raise SystemExit(f"fec point {v!r}: expected QxN, e.g. 2x2") from None
+                raise ValueError(f"fec point {v!r}: expected QxN, e.g. 2x2") from None
             offsets = _SWEEP_OFFSETS.get(n)
             if offsets is None:
-                raise SystemExit(f"fec point {v!r}: backup count {n} out of range 0..4")
-            cfgs.append(FecConfig(q, offsets))
+                raise ValueError(f"fec point {v!r}: backup count {n} out of range 0..4")
+            points.append((f"fec{v}", q_lambda, FecConfig(q, offsets), loss_rate))
             model.check_stages(q)
-            labels.append(f"fec{v}")
-        fn, columns = _encode_and_sweep, (repeat(q_lambda), cfgs, repeat(loss_rate))
     else:
-        raise SystemExit(f"unknown sweep axis {axis!r}")
+        raise ValueError(f"unknown sweep axis {axis!r}")
+    for _, q, _, p in points:
+        RateControl(q)  # raises on a rate index out of range
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"loss probability {p} out of range")
 
-    jobs = int(_merged(args, "jobs", 1))
-    rows = []
-    # points are independent and individually seeded, so they can run in
-    # parallel; rows keep axis order either way
-    with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
-        point = partial(fn, clip, model, delay=delay, seed=seed)
-        for label, (rates, wave, rx) in zip(labels, (pool.map if pool else map)(point, *columns)):
-            rows.append(_metrics_row(label, rates, wave, rx))
-            print(f"{label}: done")
+    rows, result = [], None
+    for label, q, point_fec, p in points:
+        # the encoding does not depend on the loss rate
+        if result is None or axis != "loss":
+            result = encode_stream(clip, model, q, point_fec)
+        trace = gen_bernoulli(p, len(result.packets), seed) if p > 0 else None
+        config = ReceiverConfig(result.header.fec, delay)
+        sim = simulate_stream(result.packets, trace, model, config, result.header.sample_count)
+        rows.append(_metrics_row(label, result.report, compute_metrics(clip, sim.clip), sim.report))
+        print(f"{label}: done")
     with open(out, "w", encoding="ascii") as fh:
         fh.write(METRICS_SCHEMA + "\n")
         fh.write(_METRIC_COLUMNS + "\n")
@@ -463,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
         fec_offsets={},
         delay={"type": int},
         seed={"type": int},
-        jobs={"type": int, "help": "parallel sweep workers (default 1)"},
         out={},
     )
     add("trace-stats", cmd_trace_stats, trace={"help": "trace file"})

@@ -162,12 +162,20 @@ class CodecModel:
             )
         if self.sigma_table.shape != (self.d_y,):
             raise ValueError("sigma_table must have one entry per latent dimension")
-        if self.q > 0 and (self.codebooks is None or self.codebooks.n_stages < self.q):
-            raise ValueError(f"model requires {self.q} codebook stages")
+        stages = 0 if self.codebooks is None else self.codebooks.n_stages
+        if stages != self.q or (self.codebooks is None) != (self.q == 0):
+            raise ValueError(f"model q {self.q} with {stages} codebook stages: need one stage "
+                             "per q, and no codebooks when q = 0")
         if self.codebooks is not None and self.codebooks.d_z != self.d_z:
             raise ValueError(
                 f"codebooks have dimension {self.codebooks.d_z}, model d_z {self.d_z}"
             )
+        # the floats the coder and the concealment read; kappa is read by nothing
+        floats = np.append(self.sigma_table, (self.sigma_min, self.rho))
+        spreads = np.maximum(self.sigma_table, self.sigma_min)  # as hyper_synthesis floors them
+        if not (np.all(np.isfinite(floats)) and np.all(spreads > 0)):
+            raise ValueError("model sigma_table, sigma_min and rho must be finite, "
+                             "and max(sigma_table, sigma_min) above 0")
 
     @property
     def block(self) -> int:
@@ -175,16 +183,16 @@ class CodecModel:
 
     def check_stages(self, q: int) -> None:
         """Raise ValueError unless the codebooks can code `q` side-info stages."""
-        have = 0 if self.codebooks is None else self.codebooks.n_stages
-        if q > have:
-            raise ValueError(f"requested {q} side-info stages, model codebooks have {have}")
+        if q > self.q:
+            raise ValueError(f"requested {q} side-info stages, model codebooks have {self.q}")
 
     @cached_property
     def content_crc(self) -> int:
         return zlib.crc32(_model_body(self)) & 0xFFFFFFFF
 
     def __getstate__(self):
-        # caches built on first use (the CRC, the CDF-table memo) stay behind
+        # caches built on first use (the CRC, the CDF-table memo, whose
+        # memoryviews cannot be pickled) stay behind in a pickle or a copy
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
@@ -357,7 +365,7 @@ def _model_body(model: CodecModel) -> bytes:
     ]
     if model.q > 0:
         parts.append(model.tokens.m_z[: model.q].astype("<f8").tobytes())
-        parts.append(model.codebooks.stages[: model.q].astype("<f8").tobytes())
+        parts.append(model.codebooks.stages.astype("<f8").tobytes())
     return b"".join(parts)
 
 

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import struct
 import zlib
@@ -11,7 +13,19 @@ import voxfec.cli as cli
 from voxfec.cli import main
 from voxfec.corpus import speech_like_clip
 from voxfec.frontend import read_wav, write_wav
+from voxfec.hyperprior import load_model
 from voxfec.packets import read_container, write_container
+
+
+def _run(argv):
+    """Run the CLI in this process; return its exit code and its stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    return code, err.getvalue()
 
 
 @pytest.fixture(scope="module")
@@ -160,20 +174,16 @@ def test_sweep_deterministic(workdir):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_sweep_parallel_matches_serial(workdir):
+def test_sweep_has_no_jobs_option(workdir):
+    # every sweep runs its points in one loop in this process
     d, wav, model, _ = workdir
-    a = d / "sw_ser.csv"
-    b = d / "sw_par.csv"
-    args = ["sweep", "--input", str(wav), "--model", str(model),
-            "--axis", "loss", "--values", "0,0.2", "--q-lambda", "48",
-            "--seed", "9"]
-    main(args + ["--out", str(a)])
-    main(args + ["--out", str(b), "--jobs", "2"])
-    assert a.read_bytes() == b.read_bytes()
+    code, err = _run(["sweep", "--input", str(wav), "--model", str(model),
+                      "--jobs", "2", "--out", str(d / "sw_jobs.csv")])
+    assert code == 2 and "unrecognized arguments: --jobs 2" in err
 
 
-def test_loss_sweep_encodes_once(workdir, monkeypatch):
-    # the encoding does not depend on the loss rate
+def _count_encodes(monkeypatch):
+    """Calls to cli.encode_stream from now on, each recorded as its arguments."""
     calls = []
     encode = cli.encode_stream
 
@@ -182,11 +192,44 @@ def test_loss_sweep_encodes_once(workdir, monkeypatch):
         return encode(*args)
 
     monkeypatch.setattr(cli, "encode_stream", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "axis, values, encodes",
+    [("loss", "0,0.1,0.3", 1), ("q_lambda", "16,40,63", 3), ("fec", "1x1,2x1,2x2", 3)],
+    ids=["loss", "q_lambda", "fec"],
+)
+def test_loss_sweep_encodes_once(workdir, monkeypatch, axis, values, encodes):
+    # the encoding does not depend on the loss rate, so a loss sweep codes
+    # the stream once; the other axes code it once per point
+    calls = _count_encodes(monkeypatch)
     d, wav, model, _ = workdir
-    assert main(["sweep", "--input", str(wav), "--model", str(model), "--axis", "loss",
-                 "--values", "0,0.1,0.3", "--seed", "9", "--out", str(d / "sw_once.csv")]) == 0
-    assert len(calls) == 1
-    assert len((d / "sw_once.csv").read_text().splitlines()) == 2 + 3
+    out = d / f"sw_{axis}.csv"
+    assert main(["sweep", "--input", str(wav), "--model", str(model), "--axis", axis,
+                 "--values", values, "--seed", "9", "--out", str(out)]) == 0
+    assert len(calls) == encodes
+    assert len(out.read_text().splitlines()) == 2 + 3
+
+
+@pytest.mark.parametrize(
+    "axis, values, message",
+    [
+        ("q_lambda", "0,64", "invalid rate index 64, expected 0..63"),
+        ("loss", "0,1.5", "loss probability 1.5 out of range"),
+    ],
+    ids=["q_lambda", "loss"],
+)
+def test_sweep_checks_every_value_before_coding(workdir, monkeypatch, capsys, axis, values,
+                                                message):
+    calls = _count_encodes(monkeypatch)
+    d, wav, model, _ = workdir
+    out = d / f"bad_{axis}.csv"
+    code, err = _run(["sweep", "--input", str(wav), "--model", str(model), "--axis", axis,
+                      "--values", values, "--out", str(out)])
+    assert code == 1 and f"error: {message}" in err
+    assert "done" not in capsys.readouterr().out
+    assert calls == [] and not out.exists()
 
 
 def test_config_file_supplies_defaults(workdir):
@@ -214,23 +257,23 @@ def test_markov_params_missing_key_exits(workdir, key):
         "container": str(container), "model": str(model),
         "channel": "markov", "markov_params": params,
     }))
-    with pytest.raises(SystemExit, match=f"markov_params lacks '{key}'"):
-        main(["simulate", "--config", str(cfg)])
+    code, err = _run(["simulate", "--config", str(cfg)])
+    assert code == 1 and f"error: markov_params lacks '{key}'" in err
 
 
 def test_sweep_fec_backup_count_out_of_range_exits(workdir):
     d, wav, model, _ = workdir
-    with pytest.raises(SystemExit, match=r"backup count 5 out of range 0\.\.4"):
-        main(["sweep", "--input", str(wav), "--model", str(model), "--axis", "fec",
-              "--values", "1x5", "--out", str(d / "fec_bad.csv")])
+    code, err = _run(["sweep", "--input", str(wav), "--model", str(model), "--axis", "fec",
+                      "--values", "1x5", "--out", str(d / "fec_bad.csv")])
+    assert code == 1 and "error: fec point '1x5': backup count 5 out of range 0..4" in err
 
 
 @pytest.mark.parametrize("value", ["2", "ax2"])
 def test_sweep_fec_malformed_point_exits(workdir, value):
     d, wav, model, _ = workdir
-    with pytest.raises(SystemExit, match=f"fec point '{value}': expected QxN"):
-        main(["sweep", "--input", str(wav), "--model", str(model), "--axis", "fec",
-              "--values", value, "--out", str(d / "fec_bad.csv")])
+    code, err = _run(["sweep", "--input", str(wav), "--model", str(model), "--axis", "fec",
+                      "--values", value, "--out", str(d / "fec_bad.csv")])
+    assert code == 1 and f"error: fec point '{value}': expected QxN" in err
 
 
 def test_markov_params_not_an_object_exits(workdir):
@@ -240,8 +283,8 @@ def test_markov_params_not_an_object_exits(workdir):
         "container": str(container), "model": str(model),
         "channel": "markov", "markov_params": 5,
     }))
-    with pytest.raises(SystemExit, match="markov_params must be a JSON object"):
-        main(["simulate", "--config", str(cfg)])
+    code, err = _run(["simulate", "--config", str(cfg)])
+    assert code == 1 and "error: markov_params must be a JSON object" in err
 
 
 @pytest.fixture(scope="module")
@@ -347,14 +390,34 @@ def test_simulate_on_a_damaged_container_exits(workdir, capsys, edit, message):
     assert f"error: {message}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text", [None, "{not json"])
+@pytest.mark.parametrize("text", [None, "{not json", "[1, 2]"])
 def test_bad_config_file_exits_with_error(tmp_path, capsys, text):
-    # None: the file does not exist
+    # None: the file does not exist; a JSON list is valid JSON but no object
     cfg = tmp_path / "cfg.json"
     if text is not None:
         cfg.write_text(text)
     assert main(["encode", "--config", str(cfg)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+# offsets of the model file's float fields after magic, version and sizes
+_MODEL_FLOATS = {"sigma_min": 13, "rho": 21, "sigma_table[5]": 37 + 8 * 5}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("field", sorted(_MODEL_FLOATS))
+def test_model_with_a_non_finite_float_exits(workdir, field, value):
+    # a CRC-valid model file with one float field edited
+    d, wav, model, container = workdir
+    body = bytearray(model.read_bytes()[:-4])
+    struct.pack_into("<d", body, _MODEL_FLOATS[field], value)
+    bad = d / "float.vxm"
+    bad.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
+    with pytest.raises(ValueError, match="must be finite"):
+        load_model(bad)
+    code, err = _run(["decode", "--container", str(container), "--model", str(bad),
+                      "--out", str(d / "float.wav")])
+    assert code == 1 and "error: model sigma_table, sigma_min and rho must be finite" in err
 
 
 def test_simulate_markov_preset_and_custom_params(workdir, capsys):
@@ -429,9 +492,9 @@ def test_model_mismatch_rejected(workdir, tmp_path):
     other_model = tmp_path / "other.vxm"
     main(["calibrate", "--input", str(wav), "--stages", "2", "--seed", "6",
           "--out", str(other_model)])
-    with pytest.raises(SystemExit, match="model checksum mismatch"):
-        main(["decode", "--container", str(container), "--model", str(other_model),
-              "--out", str(tmp_path / "x.wav")])
+    code, err = _run(["decode", "--container", str(container), "--model", str(other_model),
+                      "--out", str(tmp_path / "x.wav")])
+    assert code == 1 and "error: model checksum mismatch" in err
 
 
 def test_unreadable_input_exits_nonzero(tmp_path, capsys):
@@ -483,3 +546,21 @@ def test_cli_outputs_match_digests(tmp_path, monkeypatch, capsys):
     digests = {p.name: sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.iterdir())}
     digests["stdout"] = sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digests == _CLI_DIGESTS
+
+
+def test_cli_rate_sweep_matches_digest(tmp_path, monkeypatch, capsys):
+    # a rate sweep over a lossy channel with a playout delay, pinned as
+    # test_cli_outputs_match_digests pins the other two axes
+    monkeypatch.chdir(tmp_path)
+    assert main("make-corpus --duration 4 --seed 3 --out c.wav".split()) == 0
+    assert main("calibrate --input c.wav --stages 2 --seed 1 --out m.vxm".split()) == 0
+    capsys.readouterr()
+    assert main("sweep --input c.wav --model m.vxm --axis q_lambda --values 8,40,63"
+                " --loss-rate 0.2 --delay 2 --seed 5 --out sq.csv".split()) == 0
+    out = capsys.readouterr().out.encode()
+    assert sha256((tmp_path / "sq.csv").read_bytes()).hexdigest() == (
+        "11d3b459ffe160b70302135a9a4ec8b9a67742a97807ad0b93819354068df49c"
+    )
+    assert sha256(out).hexdigest() == (
+        "75469ed98256a4dfe4185f6f8ea7b09143b59a3ba83f0bf97bfbd8ca7b834708"
+    )

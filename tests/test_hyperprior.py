@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 import warnings
 import zlib
@@ -355,6 +356,19 @@ def test_model_file_header_edits_load_the_same_model_or_are_rejected(model_file,
     except ValueError:
         return
     assert bytes(body) == blob[:-4] and model.content_crc == zlib.crc32(body)
+
+
+def test_model_stage_count_is_q(tiny_model):
+    # the file holds q stages, so a model with more codebook stages than q
+    # would code side info that its own file cannot decode
+    books = RvqCodebooks(np.zeros((2, CODEBOOK_SIZE, tiny_model.d_z)))
+    two = dataclasses.replace(tiny_model, q=2, codebooks=books)
+    with pytest.raises(ValueError, match="model q 1 with 2 codebook stages"):
+        dataclasses.replace(two, q=1)
+    with pytest.raises(ValueError, match="model q 0 with 1 codebook stages"):
+        dataclasses.replace(tiny_model, q=0)
+    with pytest.raises(ValueError, match="model q 1 with 0 codebook stages"):
+        dataclasses.replace(tiny_model, codebooks=None)
 
 
 def test_model_rejects_codebooks_of_another_dimension():

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import gc
 import hashlib
@@ -14,7 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
+from voxfec.frontend import PcmClip
 from voxfec.hyperprior import GaussianParams, SideInfo
+from voxfec.packets import FecConfig
+from voxfec.pipeline import decode_stream, encode_stream
 import voxfec.rangecoder as rangecoder
 from voxfec.rangecoder import (
     GUARD_BITS,
@@ -37,6 +41,7 @@ from voxfec.rangecoder import (
     measure_rate,
     model_bits,
 )
+from voxfec.receiver import ReceiverConfig
 from voxfec.transform import QuantizedLatent, RateControl, lambda_from_q, step_from_lambda
 
 # interval mass of symbol 0 for mu=0, sigma=step, frozen from mpmath:
@@ -192,14 +197,26 @@ def test_frame_tables_memo_belongs_to_the_model(tiny_model):
     twin = dataclasses.replace(tiny_model)
     twin_tables, _ = frame_tables(twin, si, 32)
     assert twin_tables is not tables and np.array_equal(twin_tables.cum, tables.cum)
-    # a pickled model, as sent to sweep workers, leaves its memo and its CRC
-    # cache behind
+    # a pickled model leaves its memo and its CRC cache behind
     assert tiny_model.content_crc == twin.content_crc
     clone = pickle.loads(pickle.dumps(tiny_model))
     assert vars(clone).keys() == {f.name for f in dataclasses.fields(tiny_model)}
     assert clone.content_crc == tiny_model.content_crc
     books = tiny_model.codebooks
     assert books.checksum == zlib.crc32(books.stages.tobytes())
+
+
+def test_model_pickles_and_copies_after_coding_a_stream(tiny_model):
+    # decoding fills the memo with memoryviews, which cannot be pickled
+    model = dataclasses.replace(tiny_model)  # with its own, empty memo
+    fec = FecConfig(1, (1,))
+    clip = PcmClip(np.random.default_rng(5).normal(0, 3000, 40 * model.d_l).astype(np.int16))
+    res = encode_stream(clip, model, 32, fec)
+    decoded = decode_stream(res.packets, model, ReceiverConfig(fec), len(clip)).clip
+    for clone in (pickle.loads(pickle.dumps(model)), copy.copy(model)):
+        assert vars(clone).keys() == {f.name for f in dataclasses.fields(model)}
+        again = decode_stream(res.packets, clone, ReceiverConfig(fec), len(clip)).clip
+        assert np.array_equal(again.samples, decoded.samples)
 
 
 @pytest.mark.parametrize("rows, held", [(16, 272), (2, 2180)])
