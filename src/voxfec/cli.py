@@ -1,8 +1,9 @@
 """Command-line front end: calibration, coding, loss simulation, sweeps.
 
 Every subcommand accepts --config pointing to a JSON file whose keys match
-the flag names (underscored); explicit flags override config values. All
-outputs are deterministic given identical inputs and seeds.
+the flag names (underscored). Each entry is parsed as its flag would be,
+and explicit flags override it. All outputs are deterministic given
+identical inputs and seeds.
 """
 
 from __future__ import annotations
@@ -57,43 +58,30 @@ def _fmt(x: float) -> str:
     return format(float(x), ".10g")
 
 
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
+def _config_text(value) -> str:
+    """A config value as it is typed after its flag: a list joined with
+    commas, an object in JSON."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, list):
+        return ",".join(map(_config_text, value))
+    return json.dumps(value)
+
+
+def _config_args(path: str) -> list[str]:
+    """The entries of a JSON config file as the flags they name; null
+    entries are left out."""
     with open(path, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("config file must contain a JSON object")
-    return cfg
+    return [f"--{key.replace('_', '-')}={_config_text(value)}"
+            for key, value in cfg.items() if value is not None]
 
 
-def _merged(args: argparse.Namespace, key: str, default=None):
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    return args._config.get(key, default)
-
-
-def _require(args: argparse.Namespace, key: str):
-    val = _merged(args, key)
-    if val is None:
-        raise ValueError(f"missing required option --{key.replace('_', '-')}")
-    return val
-
-
-def _parse_offsets(raw) -> tuple[int, ...]:
-    if isinstance(raw, (list, tuple)):
-        return tuple(int(x) for x in raw)
-    raw = str(raw).strip()
-    if not raw:
-        return ()
-    return tuple(int(x) for x in raw.split(","))
-
-
-def _fec_from_args(args) -> FecConfig:
-    q = int(_merged(args, "fec_q", 2))
-    offsets = _parse_offsets(_merged(args, "fec_offsets", "1,13"))
-    return FecConfig(q, offsets)
+def _parse_offsets(raw: str) -> tuple[int, ...]:
+    raw = raw.strip()
+    return tuple(int(x) for x in raw.split(",")) if raw else ()
 
 
 def _collect_wavs(path: str) -> list[Path]:
@@ -106,17 +94,13 @@ def _collect_wavs(path: str) -> list[Path]:
     return [p]
 
 
-def _trace_for(args, length: int, seed: int):
-    channel = _merged(args, "channel", "bernoulli")
-    if channel == "none":
+def _trace_for(args, length: int):
+    if args.channel == "none" or (args.channel == "bernoulli" and args.loss_rate == 0.0):
         return None
-    if channel == "bernoulli":
-        p = float(_merged(args, "loss_rate", 0.0))
-        if p == 0.0:
-            return None
-        return gen_bernoulli(p, length, seed)
-    if channel == "markov":
-        raw = _merged(args, "markov_params")
+    if args.channel == "bernoulli":
+        return gen_bernoulli(args.loss_rate, length, args.seed)
+    if args.channel == "markov":
+        raw = args.markov_params
         if raw is not None:
             if not isinstance(raw, dict):
                 raise ValueError("markov_params must be a JSON object")
@@ -130,20 +114,16 @@ def _trace_for(args, length: int, seed: int):
             )
             label = "custom markov"
         else:
-            preset = _merged(args, "preset", "burst10")
-            if preset not in PRESETS:
-                raise ValueError(f"unknown preset {preset!r}; have {sorted(PRESETS)}")
-            params = PRESETS[preset]
-            label = f"preset {preset}"
+            params = PRESETS[args.preset]
+            label = f"preset {args.preset}"
         print(f"{label}: analytic loss rate {_fmt(stationary_loss_rate(params))}")
-        return gen_markov3(params, length, seed)
-    if channel == "trace":
-        path = _require(args, "trace_file")
-        tr = load_trace(path)
-        if len(tr) < length:
-            raise ValueError(f"trace has {len(tr)} entries, stream needs {length}")
-        return tr
-    raise ValueError(f"unknown channel {channel!r}")
+        return gen_markov3(params, length, args.seed)
+    if args.trace_file is None:
+        raise ValueError("--channel trace needs --trace-file")
+    tr = load_trace(args.trace_file)
+    if len(tr) < length:
+        raise ValueError(f"trace has {len(tr)} entries, stream needs {length}")
+    return tr
 
 
 def _metrics_row(
@@ -193,21 +173,18 @@ def _write_report_csv(path, report) -> None:
 
 
 def cmd_calibrate(args) -> int:
-    inputs = _collect_wavs(_require(args, "input"))
-    stages = int(_merged(args, "stages", 2))
-    seed = int(_merged(args, "seed", 1))
-    out = _require(args, "out")
+    inputs = _collect_wavs(args.input)
     codes = np.concatenate(
         [analysis_rows(frame_rows(read_wav(path), FRAME_SAMPLES)) for path in inputs]
     )
-    books, sigma_table = calibrate(codes, stages, seed, d_z=D_Z_DEFAULT)
+    books, sigma_table = calibrate(codes, args.stages, args.seed, d_z=D_Z_DEFAULT)
     d_y = codes.shape[1]
-    tokens = ConfidenceTokens.zeros(d_y, max(stages, 1), D_Z_DEFAULT)
+    tokens = ConfidenceTokens.zeros(d_y, args.stages, D_Z_DEFAULT)
     model = CodecModel(
         d_l=d_y,
         d_y=d_y,
         d_z=D_Z_DEFAULT,
-        q=stages,
+        q=args.stages,
         sigma_min=SIGMA_MIN_DEFAULT,
         rho=RHO_DEFAULT,
         kappa=KAPPA_DEFAULT,
@@ -215,8 +192,8 @@ def cmd_calibrate(args) -> int:
         tokens=tokens,
         codebooks=books,
     )
-    crc = save_model(out, model)
-    print(f"model written to {out}")
+    crc = save_model(args.out, model)
+    print(f"model written to {args.out}")
     print(f"model checksum {crc:08x}")
     if books is not None:
         print(f"codebook checksum {books.checksum:08x}")
@@ -224,14 +201,12 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    clip = read_wav(_require(args, "input"))
-    model = load_model(_require(args, "model"))
-    q_lambda = int(_merged(args, "q_lambda", 32))
-    fec = _fec_from_args(args)
-    out = _require(args, "out")
-    result = encode_stream(clip, model, q_lambda, fec)
-    write_container(out, result.header, result.packets)
-    print(f"container written to {out} ({result.header.frame_count} frames)")
+    clip = read_wav(args.input)
+    model = load_model(args.model)
+    fec = FecConfig(args.fec_q, args.fec_offsets)
+    result = encode_stream(clip, model, args.q_lambda, fec)
+    write_container(args.out, result.header, result.packets)
+    print(f"container written to {args.out} ({result.header.frame_count} frames)")
     if result.report is not None:
         r = result.report
         print(
@@ -243,48 +218,40 @@ def cmd_encode(args) -> int:
 
 
 def _open_stream(args):
-    header, packets = read_container(_require(args, "container"))
-    model = load_model(_require(args, "model"))
+    header, packets = read_container(args.container)
+    model = load_model(args.model)
     if model.content_crc != header.model_crc:
         raise ValueError("model checksum mismatch: container was encoded with a different model")
-    delay = _merged(args, "delay")
-    config = ReceiverConfig(header.fec, None if delay is None else int(delay))
-    return header, packets, model, config
+    return header, packets, model, ReceiverConfig(header.fec, args.delay)
 
 
 def cmd_decode(args) -> int:
     header, packets, model, config = _open_stream(args)
-    out = _require(args, "out")
     result = decode_stream(packets, model, config, header.sample_count)
-    write_wav(out, result.clip)
-    print(f"decoded {header.frame_count} frames to {out}")
+    write_wav(args.out, result.clip)
+    print(f"decoded {header.frame_count} frames to {args.out}")
     return 0
 
 
 def cmd_simulate(args) -> int:
     header, packets, model, config = _open_stream(args)
-    seed = int(_merged(args, "seed", 1))
-    trace = _trace_for(args, len(packets), seed)
-    ref_path = _merged(args, "ref")
+    trace = _trace_for(args, len(packets))
     result = simulate_stream(packets, trace, model, config, header.sample_count)
-    out_wav = _merged(args, "out_wav")
-    if out_wav:
-        write_wav(out_wav, result.clip)
-    if ref_path:
-        ref = read_wav(ref_path)
+    if args.out_wav:
+        write_wav(args.out_wav, result.clip)
+    if args.ref:
+        ref = read_wav(args.ref)
     else:
         ref = decode_stream(packets, model, config, header.sample_count).clip
     wave = compute_metrics(ref, result.clip)
     rates = account_stream(packets, header.fec.frame_rate) if len(packets) >= header.fec.frame_rate else None
-    out_csv = _merged(args, "out_csv")
-    if out_csv:
-        with open(out_csv, "w", encoding="ascii") as fh:
+    if args.out_csv:
+        with open(args.out_csv, "w", encoding="ascii") as fh:
             fh.write(METRICS_SCHEMA + "\n")
             fh.write(_METRIC_COLUMNS + "\n")
             fh.write(_metrics_row("simulate", rates, wave, result.report) + "\n")
-    report_csv = _merged(args, "report_csv")
-    if report_csv:
-        _write_report_csv(report_csv, result.report)
+    if args.report_csv:
+        _write_report_csv(args.report_csv, result.report)
     r = result.report
     print(
         f"frames {r.frames}: entropy {r.entropy_count}, plc_high {r.plc_high_count}, "
@@ -295,29 +262,21 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    clip = read_wav(_require(args, "input"))
-    model = load_model(_require(args, "model"))
-    axis = _merged(args, "axis", "q_lambda")
-    values = _merged(args, "values")
-    seed = int(_merged(args, "seed", 1))
-    q_lambda = int(_merged(args, "q_lambda", 32))
-    loss_rate = float(_merged(args, "loss_rate", 0.0))
-    delay = _merged(args, "delay")
-    delay = None if delay is None else int(delay)
-    fec = _fec_from_args(args)
-    out = _require(args, "out")
+    clip = read_wav(args.input)
+    model = load_model(args.model)
+    fec = FecConfig(args.fec_q, args.fec_offsets)
 
     # points are (label, rate index, fec, loss rate), all checked before any is coded
-    if axis == "q_lambda":
-        vals = [int(v) for v in str(values or "0,8,16,24,32,40,48,56,63").split(",")]
+    if args.axis == "q_lambda":
+        vals = [int(v) for v in (args.values or "0,8,16,24,32,40,48,56,63").split(",")]
         model.check_stages(fec.q)
-        points = [(f"q{v}", v, fec, loss_rate) for v in vals]
-    elif axis == "loss":
-        vals = [float(v) for v in str(values or "0,0.05,0.1,0.2,0.3").split(",")]
-        points = [(f"p{_fmt(v)}", q_lambda, fec, v) for v in vals]
-    elif axis == "fec":
+        points = [(f"q{v}", v, fec, args.loss_rate) for v in vals]
+    elif args.axis == "loss":
+        vals = [float(v) for v in (args.values or "0,0.05,0.1,0.2,0.3").split(",")]
+        points = [(f"p{_fmt(v)}", args.q_lambda, fec, v) for v in vals]
+    else:
         points = []
-        for v in str(values or "1x1,2x1,2x2").split(","):
+        for v in (args.values or "1x1,2x1,2x2").split(","):
             try:
                 q, n = map(int, v.lower().split("x"))
             except ValueError:
@@ -325,10 +284,8 @@ def cmd_sweep(args) -> int:
             offsets = _SWEEP_OFFSETS.get(n)
             if offsets is None:
                 raise ValueError(f"fec point {v!r}: backup count {n} out of range 0..4")
-            points.append((f"fec{v}", q_lambda, FecConfig(q, offsets), loss_rate))
+            points.append((f"fec{v}", args.q_lambda, FecConfig(q, offsets), args.loss_rate))
             model.check_stages(q)
-    else:
-        raise ValueError(f"unknown sweep axis {axis!r}")
     for _, q, _, p in points:
         RateControl(q)  # raises on a rate index out of range
         if not 0.0 <= p <= 1.0:
@@ -337,25 +294,24 @@ def cmd_sweep(args) -> int:
     rows, result = [], None
     for label, q, point_fec, p in points:
         # the encoding does not depend on the loss rate
-        if result is None or axis != "loss":
+        if result is None or args.axis != "loss":
             result = encode_stream(clip, model, q, point_fec)
-        trace = gen_bernoulli(p, len(result.packets), seed) if p > 0 else None
-        config = ReceiverConfig(result.header.fec, delay)
+        trace = gen_bernoulli(p, len(result.packets), args.seed) if p > 0 else None
+        config = ReceiverConfig(result.header.fec, args.delay)
         sim = simulate_stream(result.packets, trace, model, config, result.header.sample_count)
         rows.append(_metrics_row(label, result.report, compute_metrics(clip, sim.clip), sim.report))
         print(f"{label}: done")
-    with open(out, "w", encoding="ascii") as fh:
+    with open(args.out, "w", encoding="ascii") as fh:
         fh.write(METRICS_SCHEMA + "\n")
         fh.write(_METRIC_COLUMNS + "\n")
         for row in rows:
             fh.write(row + "\n")
-    print(f"sweep written to {out}")
+    print(f"sweep written to {args.out}")
     return 0
 
 
 def cmd_trace_stats(args) -> int:
-    tr = load_trace(_require(args, "trace"))
-    st = trace_stats(tr)
+    st = trace_stats(load_trace(args.trace))
     print(TRACE_SCHEMA)
     cols = ["loss_rate", "max_burst"] + [f"hist_{k}" for k in st.burst_histogram]
     vals = [_fmt(st.loss_rate), str(st.max_burst)] + [
@@ -367,12 +323,9 @@ def cmd_trace_stats(args) -> int:
 
 
 def cmd_make_corpus(args) -> int:
-    duration = float(_merged(args, "duration", 64.0))
-    seed = int(_merged(args, "seed", 20260810))
-    out = _require(args, "out")
-    clip = corpus.speech_like_clip(duration, seed)
-    write_wav(out, clip)
-    print(f"corpus written to {out} ({clip.duration_s:.1f} s)")
+    clip = corpus.speech_like_clip(args.duration, args.seed)
+    write_wav(args.out, clip)
+    print(f"corpus written to {args.out} ({clip.duration_s:.1f} s)")
     return 0
 
 
@@ -380,87 +333,115 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="voxfec",
         description="Loss-resilient speech transport simulator",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **flags):
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="JSON file with option defaults")
+        p = sub.add_parser(name, allow_abbrev=False)
+        p.add_argument("--config", help="JSON file of option values; flags given here win")
         for flag, kwargs in flags.items():
-            p.add_argument(f"--{flag.replace('_', '-')}", dest=flag, **kwargs)
+            p.add_argument(f"--{flag.replace('_', '-')}", **kwargs)
         p.set_defaults(handler=fn)
-        return p
+
+    def need(text):
+        return {"required": True, "help": text}
+
+    def default(value, text, **kwargs):
+        return {"default": value, "help": f"{text} (default %(default)s)", **kwargs}
+
+    seed = default(1, "random seed", type=int)
+    q_lambda = default(32, "rate index 0..63", type=int)
+    loss_rate = default(0.0, "Bernoulli loss probability", type=float)
+    fec = {
+        "fec_q": default(2, "side-info stages per copy", type=int),
+        "fec_offsets": default("1,13", "comma-separated backup offsets", type=_parse_offsets),
+    }
+    delay = {"type": int, "help": "playout delay in frames (default: the largest backup offset)"}
 
     add(
         "calibrate",
         cmd_calibrate,
-        input={"help": "WAV file or directory of WAVs"},
-        stages={"type": int, "help": "RVQ stages to train (default 2)"},
-        seed={"type": int},
-        out={"help": "output model file"},
+        input=need("WAV file or directory of WAVs"),
+        stages=default(2, "RVQ stages to train", type=int),
+        seed=seed,
+        out=need("output model file"),
     )
     add(
         "encode",
         cmd_encode,
-        input={"help": "input WAV"},
-        model={"help": "model file"},
-        q_lambda={"type": int, "help": "rate index 0..63 (default 32)"},
-        fec_q={"type": int, "help": "side-info stages per copy (default 2)"},
-        fec_offsets={"help": "comma-separated backup offsets (default 1,13)"},
-        out={"help": "output container"},
+        input=need("input WAV"),
+        model=need("model file"),
+        q_lambda=q_lambda,
+        **fec,
+        out=need("output container"),
     )
     add(
         "decode",
         cmd_decode,
-        container={}, model={}, delay={"type": int}, out={"help": "output WAV"},
+        container=need("stream container"),
+        model=need("model file"),
+        delay=delay,
+        out=need("output WAV"),
     )
     add(
         "simulate",
         cmd_simulate,
-        container={},
-        model={},
-        channel={"help": "bernoulli | markov | trace | none"},
-        loss_rate={"type": float},
-        preset={"help": "markov preset name"},
-        trace_file={},
-        seed={"type": int},
-        delay={"type": int},
+        container=need("stream container"),
+        model=need("model file"),
+        channel=default(
+            "bernoulli", "loss channel", choices=["bernoulli", "markov", "trace", "none"]
+        ),
+        loss_rate=loss_rate,
+        preset=default("burst10", "markov preset", choices=sorted(PRESETS)),
+        markov_params={
+            "type": json.loads,
+            "help": "JSON object with transition, loss_probs and optionally initial_state",
+        },
+        trace_file={"help": "loss trace for --channel trace"},
+        seed=seed,
+        delay=delay,
         ref={"help": "reference WAV for metrics (default: loss-free decode)"},
-        out_wav={},
-        out_csv={},
-        report_csv={},
+        out_wav={"help": "output WAV"},
+        out_csv={"help": "metrics CSV"},
+        report_csv={"help": "receiver report CSV"},
     )
     add(
         "sweep",
         cmd_sweep,
-        input={},
-        model={},
-        axis={"help": "q_lambda | loss | fec"},
-        values={"help": "comma-separated axis values"},
-        q_lambda={"type": int},
-        loss_rate={"type": float},
-        fec_q={"type": int},
-        fec_offsets={},
-        delay={"type": int},
-        seed={"type": int},
-        out={},
+        input=need("input WAV"),
+        model=need("model file"),
+        axis=default("q_lambda", "swept value", choices=["q_lambda", "loss", "fec"]),
+        values={"help": "comma-separated axis values (default: a set for each axis)"},
+        q_lambda=q_lambda,
+        loss_rate=loss_rate,
+        **fec,
+        delay=delay,
+        seed=seed,
+        out=need("output CSV"),
     )
-    add("trace-stats", cmd_trace_stats, trace={"help": "trace file"})
+    add("trace-stats", cmd_trace_stats, trace=need("trace file"))
     add(
         "make-corpus",
         cmd_make_corpus,
-        duration={"type": float},
-        seed={"type": int},
-        out={},
+        duration=default(64.0, "seconds of speech", type=float),
+        seed=default(20260810, "corpus seed", type=int),
+        out=need("output WAV"),
     )
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    pre.add_argument("--config", nargs="?")
+    path = pre.parse_known_args(argv)[0].config
     try:
-        args._config = _load_config(getattr(args, "config", None))
+        if path:
+            # config entries go right after the subcommand, so that the
+            # user's own flags, parsed later, win
+            argv = argv[:1] + _config_args(path) + argv[1:]
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

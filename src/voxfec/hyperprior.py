@@ -116,7 +116,7 @@ class ConfidenceTokens:
 
     m_high: np.ndarray
     m_low: np.ndarray
-    m_z: np.ndarray  # (q, d_z) kept in the model file; no stage is ever missing
+    m_z: np.ndarray  # (max(q, 1), d_z), in the model file when q > 0; no stage is ever missing
 
     def __post_init__(self):
         object.__setattr__(self, "m_high", np.asarray(self.m_high, dtype=np.float64))
@@ -169,6 +169,15 @@ class CodecModel:
         if self.codebooks is not None and self.codebooks.d_z != self.d_z:
             raise ValueError(
                 f"codebooks have dimension {self.codebooks.d_z}, model d_z {self.d_z}"
+            )
+        # the shapes the model file stores; ConfidenceTokens.zeros builds them
+        tokens = self.tokens
+        if not (tokens.m_high.shape == tokens.m_low.shape == (self.d_y,)
+                and tokens.m_z.shape == (max(self.q, 1), self.d_z)):
+            raise ValueError(
+                f"confidence tokens of shapes {tokens.m_high.shape}, {tokens.m_low.shape} and "
+                f"{tokens.m_z.shape}: need ({self.d_y},), ({self.d_y},) and "
+                f"({max(self.q, 1)}, {self.d_z})"
             )
         # the floats the coder and the concealment read; kappa is read by nothing
         floats = np.append(self.sigma_table, (self.sigma_min, self.rho))
@@ -364,7 +373,7 @@ def _model_body(model: CodecModel) -> bytes:
         model.tokens.m_low.astype("<f8").tobytes(),
     ]
     if model.q > 0:
-        parts.append(model.tokens.m_z[: model.q].astype("<f8").tobytes())
+        parts.append(model.tokens.m_z.astype("<f8").tobytes())
         parts.append(model.codebooks.stages.astype("<f8").tobytes())
     return b"".join(parts)
 

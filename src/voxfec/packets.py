@@ -276,7 +276,8 @@ def write_container(path, header: StreamHeader, packets: Sequence[Packet]) -> No
 
 def read_container(path) -> tuple[StreamHeader, list[Packet]]:
     """Read a stream container back into header and packets. A file cut
-    short, or packet i carrying a frame index other than i, is rejected."""
+    short, packet i carrying a frame index other than i, or a packet whose
+    side-info blocks break the header's schedule, is rejected."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != CONTAINER_MAGIC:
@@ -302,12 +303,19 @@ def read_container(path) -> tuple[StreamHeader, list[Packet]]:
         packet = parse(take(plen))
         if packet.frame_index != len(packets):
             raise ValueError(f"packet {len(packets)} carries frame index {packet.frame_index}")
+        t = packet.frame_index
         for _, si in packet.z_blocks:
             if si.stages != q:
                 raise ValueError(
-                    f"packet {packet.frame_index} carries {si.stages}-stage side info, "
-                    f"container header says {q}"
+                    f"packet {t} carries {si.stages}-stage side info, container header says {q}"
                 )
+        # build_packet's schedule: the frame's own block, then every backup k <= t
+        carried = tuple(k for k, _ in packet.z_blocks)
+        if q and carried != (0, *(k for k in offsets if k <= t)):
+            raise ValueError(
+                f"packet {t} carries side info at offsets {carried}, "
+                f"container header offsets {offsets}"
+            )
         packets.append(packet)
     if len(packets) != frame_count:
         raise ValueError(

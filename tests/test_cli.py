@@ -2,9 +2,11 @@ import contextlib
 import dataclasses
 import io
 import json
+import shlex
 import struct
 import zlib
 from hashlib import sha256
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -172,6 +174,13 @@ def test_sweep_deterministic(workdir):
     main(args + ["--out", str(a)])
     main(args + ["--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+    # the same values as a JSON list in a config file
+    c = d / "sw_c.csv"
+    cfg = d / "sw_cfg.json"
+    cfg.write_text(json.dumps({"values": [0, 0.1]}))
+    assert main(["sweep", "--input", str(wav), "--model", str(model), "--axis", "loss",
+                 "--config", str(cfg), "--q-lambda", "32", "--seed", "9", "--out", str(c)]) == 0
+    assert c.read_bytes() == a.read_bytes()
 
 
 def test_sweep_has_no_jobs_option(workdir):
@@ -236,12 +245,40 @@ def test_config_file_supplies_defaults(workdir):
     d, wav, model, _ = workdir
     cfg = d / "cfg.json"
     out = d / "from_cfg.vxs"
-    cfg.write_text(json.dumps({
-        "input": str(wav), "model": str(model), "q_lambda": 40,
-        "fec_q": 2, "fec_offsets": [1, 13], "out": str(out),
-    }))
-    assert main(["encode", "--config", str(cfg)]) == 0
-    assert out.read_bytes() == (d / "s.vxs").read_bytes()
+    # each config is parsed as --q-lambda 40 would be; in the last, the
+    # flag given after or before --config beats the entry
+    for q_lambda, flags in ((40, []), ("40", []), (12, ["--q-lambda", "40"])):
+        cfg.write_text(json.dumps({
+            "input": str(wav), "model": str(model), "q_lambda": q_lambda,
+            "fec_q": 2, "fec_offsets": [1, 13], "out": str(out),
+        }))
+        for argv in (["--config", str(cfg)] + flags, flags + ["--config", str(cfg)]):
+            out.unlink(missing_ok=True)
+            assert main(["encode"] + argv) == 0
+            assert out.read_bytes() == (d / "s.vxs").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"q_lamda": 40}, "unrecognized arguments: --q-lamda=40"),
+        ({"q": 40}, "unrecognized arguments: --q=40"),
+        ({"q_lambda": 40.9}, "argument --q-lambda: invalid int value: '40.9'"),
+        ({"q_lambda": True}, "argument --q-lambda: invalid int value: 'true'"),
+        ({"out": None}, "the following arguments are required: --out"),
+    ],
+    ids=["misspelled", "abbreviated", "float", "bool", "no-out"],
+)
+def test_config_entry_is_parsed_like_its_flag(workdir, entry, message):
+    # an unknown key, a bad value or a missing required option is a usage
+    # error, as on the command line; a null entry sets nothing
+    d, wav, model, _ = workdir
+    out = d / "cfg_bad.vxs"
+    cfg = d / "cfg_bad.json"
+    cfg.write_text(json.dumps({"input": str(wav), "model": str(model), "out": str(out), **entry}))
+    code, err = _run(["encode", "--config", str(cfg)])
+    assert code == 2 and message in err and err.startswith("usage:")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key", ["transition", "loss_probs"])
@@ -440,6 +477,28 @@ def test_simulate_markov_preset_and_custom_params(workdir, capsys):
     assert main(["simulate", "--config", str(cfg)]) == 0
     out = capsys.readouterr().out
     assert "custom markov: analytic loss rate 0.1666666667" in out
+    # the same channel given on the command line
+    params = json.loads(cfg.read_text())["markov_params"]
+    assert main(["simulate", "--container", str(container), "--model", str(model),
+                 "--channel", "markov", "--seed", "2",
+                 "--markov-params", json.dumps(params)]) == 0
+    assert capsys.readouterr().out == out
+
+
+def test_readme_commands_parse():
+    # every command of README's "Command line" block, continuation lines
+    # joined, is one the parser accepts
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line\n\n```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("voxfec ")]
+    assert len(commands) == 10
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:  # argparse has printed why
+            pytest.fail(f"README command does not parse: voxfec {' '.join(argv)}")
 
 
 def test_trace_stats_command(tmp_path, capsys):

@@ -362,13 +362,28 @@ def test_model_stage_count_is_q(tiny_model):
     # the file holds q stages, so a model with more codebook stages than q
     # would code side info that its own file cannot decode
     books = RvqCodebooks(np.zeros((2, CODEBOOK_SIZE, tiny_model.d_z)))
-    two = dataclasses.replace(tiny_model, q=2, codebooks=books)
+    tokens = ConfidenceTokens.zeros(tiny_model.d_y, 2, tiny_model.d_z)
+    two = dataclasses.replace(tiny_model, q=2, codebooks=books, tokens=tokens)
     with pytest.raises(ValueError, match="model q 1 with 2 codebook stages"):
         dataclasses.replace(two, q=1)
     with pytest.raises(ValueError, match="model q 0 with 1 codebook stages"):
         dataclasses.replace(tiny_model, q=0)
     with pytest.raises(ValueError, match="model q 1 with 0 codebook stages"):
         dataclasses.replace(tiny_model, codebooks=None)
+
+
+@pytest.mark.parametrize(
+    "m_high, m_low, m_z",
+    [(7, 8, (2, 4)), (1, 8, (2, 4)), (8, 7, (2, 4)), (8, 8, (1, 4)), (8, 8, (2, 3))],
+    ids=["m_high7", "m_high1", "m_low7", "m_z1row", "m_z3col"],
+)
+def test_model_rejects_confidence_tokens_of_other_shapes(tiny_model, m_high, m_low, m_z):
+    # an 8-dim, 2-stage model; the file stores (d_y,) twice and (q, d_z),
+    # so any other shape would save a file that load_model cannot read
+    books = RvqCodebooks(np.zeros((2, CODEBOOK_SIZE, tiny_model.d_z)))
+    tokens = ConfidenceTokens(np.zeros(m_high), np.zeros(m_low), np.zeros(m_z))
+    with pytest.raises(ValueError, match="confidence tokens of shapes"):
+        dataclasses.replace(tiny_model, q=2, codebooks=books, tokens=tokens)
 
 
 def test_model_rejects_codebooks_of_another_dimension():

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import struct
 
 import numpy as np
@@ -258,6 +259,16 @@ def test_container_rejects_stage_count_other_than_header(tmp_path):
     header = StreamHeader(0, 7, FecConfig(0, ()), 6400, 20)
     write_container(path, header, bare)
     assert read_container(path) == (header, bare)
+
+
+@pytest.mark.parametrize("offsets", [(1, 9), ()], ids=["1,9", "none"])
+def test_container_rejects_offsets_other_than_header(tmp_path, offsets):
+    # packets coded with backups at 1 and 13 under a header that names others
+    packets = build_stream(20, FecConfig(2, (1, 13)))
+    path = tmp_path / "s.vxs"
+    write_container(path, StreamHeader(0, 7, FecConfig(2, offsets), 6400, 20), packets)
+    with pytest.raises(ValueError, match=re.escape(f"container header offsets {offsets}")):
+        read_container(path)
 
 
 @pytest.fixture(scope="module")
