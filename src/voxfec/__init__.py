@@ -75,6 +75,7 @@ from .receiver import (
     Receiver,
     ReceiverConfig,
     ReceiverReport,
+    SharedDecode,
 )
 from .transform import (
     LatentCode,

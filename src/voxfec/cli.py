@@ -37,7 +37,7 @@ from .packets import (
     write_container,
 )
 from .pipeline import decode_stream, encode_stream, simulate_stream
-from .receiver import ReceiverConfig
+from .receiver import ReceiverConfig, SharedDecode
 from .transform import RateControl, analysis_rows
 
 METRICS_SCHEMA = "# voxfec metrics v1"
@@ -75,6 +75,9 @@ def _config_args(path: str) -> list[str]:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("config file must contain a JSON object")
+    if "config" in cfg:
+        # it would be parsed before the user's own --config, which wins
+        raise ValueError(f"config file {path}: key 'config' cannot name another config file")
     return [f"--{key.replace('_', '-')}={_config_text(value)}"
             for key, value in cfg.items() if value is not None]
 
@@ -236,13 +239,15 @@ def cmd_decode(args) -> int:
 def cmd_simulate(args) -> int:
     header, packets, model, config = _open_stream(args)
     trace = _trace_for(args, len(packets))
-    result = simulate_stream(packets, trace, model, config, header.sample_count)
+    # the loss-free reference reuses every decode the lossy run made
+    shared = SharedDecode(packets, model)
+    result = simulate_stream(packets, trace, model, config, header.sample_count, shared)
     if args.out_wav:
         write_wav(args.out_wav, result.clip)
     if args.ref:
         ref = read_wav(args.ref)
     else:
-        ref = decode_stream(packets, model, config, header.sample_count).clip
+        ref = decode_stream(packets, model, config, header.sample_count, shared).clip
     wave = compute_metrics(ref, result.clip)
     rates = account_stream(packets, header.fec.frame_rate) if len(packets) >= header.fec.frame_rate else None
     if args.out_csv:
@@ -293,12 +298,16 @@ def cmd_sweep(args) -> int:
 
     rows, result = [], None
     for label, q, point_fec, p in points:
-        # the encoding does not depend on the loss rate
+        # the encoding does not depend on the loss rate, so a loss sweep
+        # codes the stream once and decodes each packet at most once
         if result is None or args.axis != "loss":
             result = encode_stream(clip, model, q, point_fec)
+            shared = SharedDecode(result.packets, model)
         trace = gen_bernoulli(p, len(result.packets), args.seed) if p > 0 else None
         config = ReceiverConfig(result.header.fec, args.delay)
-        sim = simulate_stream(result.packets, trace, model, config, result.header.sample_count)
+        sim = simulate_stream(
+            result.packets, trace, model, config, result.header.sample_count, shared
+        )
         rows.append(_metrics_row(label, result.report, compute_metrics(clip, sim.clip), sim.report))
         print(f"{label}: done")
     with open(args.out, "w", encoding="ascii") as fh:

@@ -18,7 +18,14 @@ from .packets import (
     build_packet,
 )
 from .rangecoder import encode_frame, frame_tables
-from .receiver import DecodedFrame, LostPacket, Receiver, ReceiverConfig, ReceiverReport
+from .receiver import (
+    DecodedFrame,
+    LostPacket,
+    Receiver,
+    ReceiverConfig,
+    ReceiverReport,
+    SharedDecode,
+)
 from .transform import (
     QuantizedLatent,
     RateControl,
@@ -88,13 +95,17 @@ def run_receiver(
     trace: LossTrace | None,
     model: CodecModel,
     config: ReceiverConfig,
+    shared: SharedDecode | None = None,
 ) -> tuple[list[DecodedFrame], ReceiverReport]:
-    """Feed packets (or their loss markers) through a fresh receiver."""
+    """Feed packets (or their loss markers) through a fresh receiver, which
+    reuses and fills `shared`, a pass over this very packet list."""
     if trace is not None and len(trace) < len(packets):
         raise ValueError(
             f"trace has {len(trace)} entries for {len(packets)} packets"
         )
-    rx = Receiver(model, config)
+    if shared is not None and shared.packets is not packets:
+        raise ValueError("shared decode was built for another packet list")
+    rx = Receiver(model, config, shared)
     lost = trace.flags.tolist() if trace is not None else [False] * len(packets)
     decoded: list[DecodedFrame] = []
     for t, pkt in enumerate(packets):
@@ -110,15 +121,17 @@ def simulate_stream(
     model: CodecModel,
     config: ReceiverConfig,
     sample_count: int,
+    shared: SharedDecode | None = None,
 ) -> SimResult:
     """Receiver run plus waveform reconstruction: one inverse DCT over the
-    emitted codes. `sample_count` must need exactly one frame per packet."""
+    emitted codes. `sample_count` must need exactly one frame per packet.
+    `shared` is as for `run_receiver`."""
     if sample_count < 1 or -(-sample_count // model.d_l) != len(packets):
         raise ValueError(
             f"sample count {sample_count} does not match {len(packets)} frames "
             f"of {model.d_l} samples"
         )
-    decoded, report = run_receiver(packets, trace, model, config)
+    decoded, report = run_receiver(packets, trace, model, config, shared)
     codes = np.stack([d.code.coeffs for d in decoded])
     paths = [d.path for d in decoded]
     clip = pcm_from_rows(synthesis_rows(codes), sample_count)
@@ -126,7 +139,11 @@ def simulate_stream(
 
 
 def decode_stream(
-    packets: list[Packet], model: CodecModel, config: ReceiverConfig, sample_count: int
+    packets: list[Packet],
+    model: CodecModel,
+    config: ReceiverConfig,
+    sample_count: int,
+    shared: SharedDecode | None = None,
 ) -> SimResult:
     """Loss-free decode of a container."""
-    return simulate_stream(packets, None, model, config, sample_count)
+    return simulate_stream(packets, None, model, config, sample_count, shared)

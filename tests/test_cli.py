@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import voxfec.cli as cli
+import voxfec.receiver as receiver
 from voxfec.cli import main
 from voxfec.corpus import speech_like_clip
 from voxfec.frontend import read_wav, write_wav
@@ -191,17 +192,21 @@ def test_sweep_has_no_jobs_option(workdir):
     assert code == 2 and "unrecognized arguments: --jobs 2" in err
 
 
-def _count_encodes(monkeypatch):
-    """Calls to cli.encode_stream from now on, each recorded as its arguments."""
+def _count_calls(monkeypatch, module, name):
+    """Calls to module.name from now on, each recorded as its arguments."""
     calls = []
-    encode = cli.encode_stream
+    fn = getattr(module, name)
 
     def counting(*args):
         calls.append(args)
-        return encode(*args)
+        return fn(*args)
 
-    monkeypatch.setattr(cli, "encode_stream", counting)
+    monkeypatch.setattr(module, name, counting)
     return calls
+
+
+def _count_encodes(monkeypatch):
+    return _count_calls(monkeypatch, cli, "encode_stream")
 
 
 @pytest.mark.parametrize(
@@ -219,6 +224,38 @@ def test_loss_sweep_encodes_once(workdir, monkeypatch, axis, values, encodes):
                  "--values", values, "--seed", "9", "--out", str(out)]) == 0
     assert len(calls) == encodes
     assert len(out.read_text().splitlines()) == 2 + 3
+
+
+def test_loss_sweep_decodes_each_packet_once(workdir, monkeypatch):
+    # every point receives the one packet list, so the points share one
+    # decode per frame; cli.simulate_stream, the binding the benchmark
+    # times, runs once per point
+    decodes = _count_calls(monkeypatch, receiver, "decode_frame")
+    runs = _count_calls(monkeypatch, cli, "simulate_stream")
+    d, wav, model, container = workdir
+    frames = read_container(container)[0].frame_count
+    assert main(["sweep", "--input", str(wav), "--model", str(model), "--axis", "loss",
+                 "--values", "0.2,0,0.05,0.1", "--seed", "9",
+                 "--out", str(d / "sw_once.csv")]) == 0
+    assert len(decodes) == frames == 400
+    assert len(runs) == 4
+
+
+@pytest.mark.parametrize("ref", [False, True], ids=["decoded-ref", "wav-ref"])
+def test_simulate_decodes_each_packet_at_most_once(workdir, monkeypatch, ref):
+    # without --ref the loss-free reference reuses the lossy run's decodes
+    decodes = _count_calls(monkeypatch, receiver, "decode_frame")
+    runs = _count_calls(monkeypatch, cli, "simulate_stream")
+    d, wav, model, container = workdir
+    argv = ["simulate", "--container", str(container), "--model", str(model),
+            "--channel", "markov", "--preset", "burst30", "--seed", "3"]
+    assert main(argv + (["--ref", str(wav)] if ref else [])) == 0
+    frames = read_container(container)[0].frame_count
+    if ref:
+        assert 0 < len(decodes) < frames  # the received frames only
+    else:
+        assert len(decodes) == frames
+    assert len(runs) == 1
 
 
 @pytest.mark.parametrize(
@@ -278,6 +315,23 @@ def test_config_entry_is_parsed_like_its_flag(workdir, entry, message):
     cfg.write_text(json.dumps({"input": str(wav), "model": str(model), "out": str(out), **entry}))
     code, err = _run(["encode", "--config", str(cfg)])
     assert code == 2 and message in err and err.startswith("usage:")
+    assert not out.exists()
+
+
+def test_config_file_naming_a_config_file_exits(workdir):
+    # a "config" entry would be read before the user's own --config and lose
+    # to it, so the file it names would be silently ignored
+    d, wav, model, _ = workdir
+    out = d / "nested.vxs"
+    inner = d / "inner.json"
+    inner.write_text(json.dumps({"q_lambda": 5}))
+    outer = d / "outer.json"
+    outer.write_text(json.dumps({
+        "input": str(wav), "model": str(model), "out": str(out), "config": str(inner),
+    }))
+    code, err = _run(["encode", "--config", str(outer)])
+    assert code == 1
+    assert f"error: config file {outer}: key 'config' cannot name another config file" in err
     assert not out.exists()
 
 

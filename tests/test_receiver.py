@@ -19,6 +19,7 @@ from voxfec.receiver import (
     ProtocolError,
     Receiver,
     ReceiverConfig,
+    SharedDecode,
 )
 from voxfec.transform import LatentCode, dequantize
 
@@ -389,3 +390,115 @@ def test_receiver_reuses_the_encoders_tables(speech_model, monkeypatch):
     assert len(builds) > rangecoder.MEMO_ROWS // 16
     assert np.array_equal(warm.clip.samples, cold.clip.samples)
     assert np.array_equal(warm.codes, cold.codes) and warm.paths == cold.paths
+
+
+# One shared decode pass, reused across receiver runs of one packet list,
+# must give exactly what runs without it give. The stream holds a payload
+# that fails its guard (frame 5), a packet without its own side-info block
+# whose two backups differ, so its decode depends on which copy arrives
+# (frame 9), and a packet the receiver cannot use (frame 14).
+SHARED_FRAMES = 40
+
+
+@pytest.fixture(scope="module")
+def shared_stream(tiny_model):
+    clip, res = encode_for(tiny_model, SHARED_FRAMES, FEC)
+    packets = list(res.packets)
+    bad = Bitstream(b"\xff\x00", 16)
+    tables, _ = frame_tables(tiny_model, packets[5].z_blocks[0][1], 32)
+    with pytest.raises(DecodeFailure):
+        decode_frame(bad, tables, tiny_model.d_y)
+    packets[5] = Packet(5, 32, bad, packets[5].z_blocks)
+    packets[9] = Packet(9, 32, packets[9].payload, ())
+    (own, (_, si21), (_, si9)) = packets[22].z_blocks
+    other = SideInfo(tuple(1023 - i for i in si9.indices), 9)
+    packets[22] = Packet(22, 32, packets[22].payload, (own, (1, si21), (13, other)))
+    packets[14] = Packet(14, 70, packets[14].payload, packets[14].z_blocks)
+    return packets
+
+
+def assert_same_runs(got, want):
+    (got_frames, got_report), (want_frames, want_report) = got, want
+    assert [d.path for d in got_frames] == [d.path for d in want_frames]
+    for a, b in zip(got_frames, want_frames):
+        assert a.code.frame_index == b.code.frame_index
+        assert a.code.coeffs.tobytes() == b.code.coeffs.tobytes(), a.code.frame_index
+    assert got_report == want_report
+
+
+@settings(max_examples=60)
+@given(
+    runs=st.lists(
+        st.tuples(
+            st.lists(st.booleans(), min_size=SHARED_FRAMES, max_size=SHARED_FRAMES),
+            st.sampled_from([None, 0, 1, 5, 13]),
+        ),
+        min_size=2,
+        max_size=5,
+    )
+)
+def test_shared_decode_matches_runs_without_it(tiny_model, shared_stream, runs):
+    packets = shared_stream
+    shared = SharedDecode(packets, tiny_model)
+    for flags, delay in runs:
+        trace = trace_from_flags(flags)
+        config = ReceiverConfig(FEC, delay)
+        got = run_receiver(packets, trace, tiny_model, config, shared)
+        assert_same_runs(got, run_receiver(packets, trace, tiny_model, config))
+        for d in got[0]:
+            if d.path == "entropy" and d.code.frame_index != 9:
+                assert not d.code.coeffs.flags.writeable
+        # an equal list is still another list
+        with pytest.raises(ValueError, match="another packet list"):
+            run_receiver(list(packets), trace, tiny_model, config, shared)
+
+
+def test_shared_decode_follows_the_side_info_copy(tiny_model, shared_stream):
+    # frame 9 carries no block of its own: with packet 10 it decodes under
+    # the offset-1 copy, without it under packet 22's different offset-13
+    # copy, and a kept decode under one copy is not reused under the other
+    packets = shared_stream
+    config = ReceiverConfig(FEC)
+    flags = np.zeros(SHARED_FRAMES, dtype=bool)
+    lose_10 = flags.copy()
+    lose_10[10] = True
+    fresh = [run_receiver(packets, trace_from_flags(f), tiny_model, config)
+             for f in (flags, lose_10)]
+    assert fresh[0][0][9].code.coeffs.tobytes() != fresh[1][0][9].code.coeffs.tobytes()
+    shared = SharedDecode(packets, tiny_model)
+    for f, want in zip((flags, lose_10, flags), fresh + fresh[:1]):
+        assert_same_runs(run_receiver(packets, trace_from_flags(f), tiny_model, config, shared),
+                         want)
+
+
+def test_shared_decode_is_not_used_for_other_packet_objects(tiny_model, shared_stream):
+    # a receiver fed packets that are not the pass's own objects decodes
+    # them itself: here frame 5's good payload under the very side info
+    # whose kept decode failed
+    shared = SharedDecode(shared_stream, tiny_model)
+    config = ReceiverConfig(FEC)
+    run_receiver(shared_stream, None, tiny_model, config, shared)
+    payload = encode_for(tiny_model, SHARED_FRAMES, FEC)[1].packets[5].payload
+    good = Packet(5, 32, payload, shared_stream[5].z_blocks)
+    events = shared_stream[:5] + [good] + shared_stream[6:]
+    rx = Receiver(tiny_model, config, shared)
+    decoded = [d for p in events for d in rx.ingest(p)] + rx.finalize()[0]
+    want = Receiver(tiny_model, config)
+    expected = [d for p in events for d in want.ingest(p)] + want.finalize()[0]
+    assert decoded[5].path == "entropy"
+    assert_same_runs((decoded, None), (expected, None))
+
+
+def test_shared_codes_are_read_only(tiny_model, shared_stream):
+    shared = SharedDecode(shared_stream, tiny_model)
+    decoded, _ = run_receiver(shared_stream, None, tiny_model, ReceiverConfig(FEC), shared)
+    with pytest.raises(ValueError, match="read-only"):
+        decoded[0].code.coeffs[0] = 1.0
+    again, _ = run_receiver(shared_stream, None, tiny_model, ReceiverConfig(FEC), shared)
+    assert again[0].code is decoded[0].code
+
+
+def test_shared_decode_for_another_model_is_refused(tiny_model, q0_model, shared_stream):
+    shared = SharedDecode(shared_stream, q0_model)
+    with pytest.raises(ValueError, match="another model"):
+        Receiver(tiny_model, ReceiverConfig(FEC), shared)
