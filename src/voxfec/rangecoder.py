@@ -13,6 +13,13 @@ coder alphabet escape to a 16-bit raw value. Every frame is coded
 independently and closes with an 8-bit guard value; decoding anything else
 at the guard position raises DecodeFailure, which is the signal that routes
 the receiver onto the concealment path.
+
+Both coders read a table as `TableWindows`. Outside a window of a few
+dozen counts every row gives each slot one count, so there a slot's start
+is the slot itself or the slot plus a constant. Only a value inside the
+window needs a search, a bisect of a short list. The model's table memo
+keeps windows live and compact bytes for a whole stream, and restores
+windows straight from the bytes.
 """
 
 from __future__ import annotations
@@ -21,6 +28,8 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import add
 
 import numpy as np
 from scipy.special import ndtr
@@ -59,12 +68,28 @@ class Bitstream:
 
 
 @dataclass(frozen=True)
+class TableWindows:
+    """Per-dimension tables in the form both coders read.
+
+    A row of `width` = 2 * half_width + 3 cumulative counts is a unit ramp
+    outside a short window: with K = TOTAL + 1 - width, the row (a, win)
+    has cum[s] = s for s <= a, cum[s] = s + K for s >= b, and win =
+    cum[a..b] between. Dimensions with equal rows share one (a, win) pair;
+    `n_rows` counts the pairs.
+    """
+
+    dims: list[tuple[int, list[int]]]
+    half_width: int
+    n_rows: int
+
+
+@dataclass(frozen=True)
 class CdfTable:
     """Per-dimension cumulative counts over the coder alphabet.
 
     Rows are deduplicated: `cum[rows[i]]` is the cumulative table for
-    dimension i. Each row starts at 0, ends at TOTAL, gives every symbol at
-    least one count, and reserves exactly one count for the escape slot.
+    dimension i. Each row starts at 0, ends at TOTAL, and gives every symbol
+    and the escape slot at least one count.
     """
 
     cum: np.ndarray  # (n_rows, n_symbols + 1) uint32
@@ -76,11 +101,30 @@ class CdfTable:
         return 2 * self.half_width + 1
 
     @cached_property
-    def dim_rows(self) -> list[memoryview]:
-        # each dimension's row as a zero-copy view of `cum` for the decoder
-        # loop, one view per shared row
-        views = [memoryview(row) for row in self.cum]
-        return [views[r] for r in self.rows.tolist()]
+    def windows(self) -> TableWindows:
+        """The same tables as windows: each row's window runs from its last
+        rise of 0 to its first rise of K."""
+        _, started, done = _rises(self.cum)
+        starts = (started.argmax(axis=1) - 1).tolist()
+        ends = done.argmax(axis=1).tolist()
+        rows = [(a, row[a : b + 1].tolist()) for a, b, row in zip(starts, ends, self.cum)]
+        return TableWindows([rows[r] for r in self.rows.tolist()], self.half_width, len(rows))
+
+
+def _rises(cum: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's rise, its cumulative counts less the unit ramp, and the
+    masks of where the rise is above 0 and where it is K.
+
+    Every count is at least 1, so a rise never falls: it is 0 up to the
+    row's first count above 1 and K from past its last one.
+    """
+    width = cum.shape[1]
+    rise = cum - np.arange(width, dtype=np.uint32)
+    return rise, rise > 0, rise == TOTAL + 1 - width
+
+
+def _windows_of(tables: CdfTable | TableWindows) -> TableWindows:
+    return tables.windows if isinstance(tables, CdfTable) else tables
 
 
 def _largest_remainder(probs: np.ndarray, budget: int) -> np.ndarray:
@@ -153,58 +197,78 @@ def build_cdf(theta: GaussianParams, step: float, half_width: int = HALF_WIDTH) 
     return CdfTable(cum, inverse, half_width)
 
 
-def encode_frame(yq: QuantizedLatent, tables: CdfTable) -> Bitstream:
+# the 8-bit guard, coded as symbol 0 of a one-slot window 2**8 counts wide:
+# the same interval as coding it out of 2**GUARD_BITS
+_GUARD_SLOT = GUARD_VALUE << (PRECISION - GUARD_BITS)
+_GUARD_ROW = (0, [_GUARD_SLOT, _GUARD_SLOT + (1 << (PRECISION - GUARD_BITS))])
+
+
+def encode_frame(yq: QuantizedLatent, tables: CdfTable | TableWindows) -> Bitstream:
     """Range-code one frame of quantizer indices against the tables."""
-    indices = yq.indices
-    if indices.size != tables.rows.size:
-        raise ValueError(f"frame has {indices.size} dims, tables {tables.rows.size}")
-    half = tables.half_width
-    esc = tables.escape_symbol
-    inside = (indices >= -half) & (indices <= half)
-    sym = np.where(inside, indices + half, esc)
-    cum_low = tables.cum[tables.rows, sym]
-    freq = tables.cum[tables.rows, sym + 1] - cum_low
-    # (cum_low, freq) out of TOTAL per coding step
-    steps = list(zip(cum_low.tolist(), freq.tolist()))
-    if not inside.all():
-        # each escape is followed by its raw 16 bits, one slot of TOTAL
-        for k, i in enumerate(np.flatnonzero(~inside).tolist()):
-            idx = int(indices[i])
-            if not -32768 <= idx <= 32767:
-                raise ValueError(f"symbol {idx} outside the 16-bit escape range")
-            steps.insert(i + k + 1, (idx & 0xFFFF, 1))
-    # the 8-bit guard as a 2**8-wide slot of TOTAL: the same interval as
-    # coding it out of 2**GUARD_BITS
-    guard_slot = 1 << (PRECISION - GUARD_BITS)
-    steps.append((GUARD_VALUE * guard_slot, guard_slot))
+    windows = _windows_of(tables)
+    dims = windows.dims
+    indices = yq.indices.tolist()
+    if len(indices) != len(dims):
+        raise ValueError(f"frame has {len(indices)} dims, tables {len(dims)}")
+    half = windows.half_width
+    esc = 2 * half + 1
+    above = TOTAL - 1 - esc  # K: past its window a slot s starts at s + K
+    indices.append(-half)
 
     low = 0
     high = _MASK
     underflow = 0  # pending bits, each the complement of the next settled bit
     out = 0
     n_out = 0
-    for c, f in steps:
-        rng = high - low + 1
-        high = low + ((rng * (c + f)) >> PRECISION) - 1
-        low = low + ((rng * c) >> PRECISION)
-        # leading bits on which low and high agree are settled
-        n = _STATE_BITS - (low ^ high).bit_length()
-        if n:
-            # the first settled bit, then the pending underflow bits, then
-            # the other n - 1 settled bits
-            top = low >> (_STATE_BITS - n)
-            out = (out << (n + underflow)) | (top + (((1 << underflow) - 1) << (n - 1)))
-            n_out += n + underflow
-            underflow = 0
-            low = (low << n) & _MASK
-            high = ((high << n) & _MASK) | ((1 << n) - 1)
-        if low >= _QUARTER and high < _THREE_QUARTERS:
-            # low = 01..., high = 10...: the run of second bits on which
-            # low is 1 and high is 0 becomes pending underflow bits
-            m = _STATE_BITS - 1 - ((low & ~high) ^ _LOW).bit_length()
-            underflow += m
-            low = (low << m) & _LOW
-            high = ((high << m) & _LOW) | _TOP | ((1 << m) - 1)
+    for idx, (a, win) in zip(indices, chain(dims, (_GUARD_ROW,))):
+        s = idx + half
+        raw = -1
+        if not 0 <= s < esc:
+            # an escape is followed by its raw 16 bits, one slot of TOTAL
+            if not -32768 <= idx <= 32767:
+                raise ValueError(f"symbol {idx} outside the 16-bit escape range")
+            s = esc
+            raw = idx & 0xFFFF
+        # [c, c + f) is the slot out of TOTAL
+        j = s - a
+        if j < 0:
+            c = s
+            f = 1
+        else:
+            try:
+                c = win[j]
+                f = win[j + 1] - c
+            except IndexError:  # past the window
+                c = s + above
+                f = 1
+        # one pass per coding step: two for an escaped symbol
+        while True:
+            rng = high - low + 1
+            high = low + ((rng * (c + f)) >> PRECISION) - 1
+            low = low + ((rng * c) >> PRECISION)
+            # leading bits on which low and high agree are settled
+            n = _STATE_BITS - (low ^ high).bit_length()
+            if n:
+                # the first settled bit, then the pending underflow bits,
+                # then the other n - 1 settled bits
+                top = low >> (_STATE_BITS - n)
+                out = (out << (n + underflow)) | (top + (((1 << underflow) - 1) << (n - 1)))
+                n_out += n + underflow
+                underflow = 0
+                low = (low << n) & _MASK
+                high = ((high << n) & _MASK) | ((1 << n) - 1)
+            if low >= _QUARTER and high < _THREE_QUARTERS:
+                # low = 01..., high = 10...: the run of second bits on which
+                # low is 1 and high is 0 becomes pending underflow bits
+                m = _STATE_BITS - 1 - ((low & ~high) ^ _LOW).bit_length()
+                underflow += m
+                low = (low << m) & _LOW
+                high = ((high << m) & _LOW) | _TOP | ((1 << m) - 1)
+            if raw < 0:
+                break
+            c = raw
+            f = 1
+            raw = -1
     # One final 1 bit pins the decoder's zero-filled code inside the final
     # interval; the pending underflow bits are not needed for that.
     out = (out << 1) | 1
@@ -214,7 +278,7 @@ def encode_frame(yq: QuantizedLatent, tables: CdfTable) -> Bitstream:
 
 
 def decode_frame(
-    bits: Bitstream, tables: CdfTable, d_y: int, frame_index: int = 0
+    bits: Bitstream, tables: CdfTable | TableWindows, d_y: int, frame_index: int = 0
 ) -> QuantizedLatent:
     """Exact inverse of encode_frame; raises DecodeFailure on a bad stream.
     The result carries `frame_index`.
@@ -222,10 +286,18 @@ def decode_frame(
     Only the first `bits.bit_length` bits are read: every bit past them, in
     the final byte or beyond it, decodes as zero.
     """
-    if d_y != tables.rows.size:
-        raise ValueError(f"expected {d_y} dims, tables have {tables.rows.size}")
-    half = tables.half_width
+    symbols = _decode_symbols(bits, _windows_of(tables), d_y)
+    return QuantizedLatent(np.array(symbols, dtype=np.int64), frame_index)
+
+
+def _decode_symbols(bits: Bitstream, windows: TableWindows, d_y: int) -> list[int]:
+    """The symbols of `decode_frame`, as a list."""
+    dims = windows.dims
+    if d_y != len(dims):
+        raise ValueError(f"expected {d_y} dims, tables have {len(dims)}")
+    half = windows.half_width
     esc = 2 * half + 1
+    above = TOTAL - 1 - esc  # K
     out = []
 
     data = bits.data
@@ -238,14 +310,24 @@ def decode_frame(
     # the code by the same x -> 2x - k, so the offset just takes in the
     # next stream bits
     offset = stream >> avail if avail >= 0 else stream << -avail
-    for row in tables.dim_rows:
+    for a, win in dims:
         rng = high - low + 1
         # the offset stays below rng, so value < TOTAL
         value = (((offset + 1) << PRECISION) - 1) // rng
-        s = bisect_right(row, value) - 1
-        # [c, c_next) is the decoded slot out of TOTAL
-        c = row[s]
-        c_next = row[s + 1]
+        # [c, c_next) is the decoded slot out of TOTAL; outside the window
+        # each slot holds one count, so the value is its start
+        if value < a:
+            s = c = value
+            c_next = value + 1
+        elif value >= win[-1]:
+            c = value
+            c_next = value + 1
+            s = value - above
+        else:
+            i = bisect_right(win, value)
+            c = win[i - 1]
+            c_next = win[i]
+            s = a + i - 1
         symbol = s - half
         # one pass per coding step: two for an escaped symbol, whose 16 raw
         # bits follow its escape slot as one slot of TOTAL
@@ -278,7 +360,7 @@ def decode_frame(
     value = (((offset + 1) << PRECISION) - 1) // (high - low + 1)
     if value >> (PRECISION - GUARD_BITS) != GUARD_VALUE:
         raise DecodeFailure("corrupt or truncated frame payload")
-    return QuantizedLatent(np.array(out, dtype=np.int64), frame_index)
+    return out
 
 
 def measure_rate(bits: Bitstream) -> int:
@@ -286,8 +368,10 @@ def measure_rate(bits: Bitstream) -> int:
     return bits.bit_length
 
 
-# rows of counts a memo holds: 4,360 rows of 513 uint32 counts are 8.9 MB of
-# counts, 272 16-row tables, or all 638 2-row tables of criterion 3's stream
+# window rows a memo holds live: 272 16-row tables, or all 638 2-row tables
+# of criterion 3's stream. At rate index 32 a 16-row table's windows, 17 to
+# 34 counts a row as Python ints, take about 17 KB, so 4,360 rows take about
+# 4.6 MB; windows as wide as the alphabet would take up to 80 MB
 MEMO_ROWS = 4360
 
 # bytes a memo's packed tables may keep alive, charged for each entry's
@@ -297,22 +381,18 @@ PACKED_BYTES = 8 << 20
 
 
 def _pack(table: CdfTable, step: float) -> bytes:
-    """The table and its step in about a kilobyte.
+    """The table and its step in about a kilobyte: of each row only the
+    rises strictly inside its window, where they are neither 0 nor K.
 
-    Most counts of a row are 1. So a row's rise, its cumulative counts
-    less a unit ramp, is 0 up to its first count above 1 and TOTAL + 1 -
-    width from past its last one; only the window between is kept. The
-    map from dimensions to rows keeps the last dimension and the row of
+    The map from dimensions to rows keeps the last dimension and the row of
     each run of equal rows. Layout, after the step as a float64: uint16
     half width, row count, dimension count and run count less one, every
-    row's window start, every row's window end, the runs' last dimensions
-    but the final one, the runs' rows, and the windows' rises row by row.
+    row's first rise above 0, every row's first rise of K, the runs' last
+    dimensions but the final one, the runs' rows, and the rises between
+    row by row.
     """
     cum, rows = table.cum, table.rows
-    width = cum.shape[1]
-    rise = cum - np.arange(width, dtype=np.uint32)
-    started = rise > 0
-    done = rise == TOTAL + 1 - width
+    rise, started, done = _rises(cum)
     # numpy's Python-level helpers (append, diff) cost more here than the
     # arithmetic, so only ufuncs and methods
     cuts = (rows[1:] != rows[:-1]).nonzero()[0]
@@ -328,23 +408,31 @@ def _pack(table: CdfTable, step: float) -> bytes:
     return np.float64(step).tobytes() + fields.astype(np.uint16).tobytes()
 
 
-def _unpack(blob: bytes) -> tuple[CdfTable, float]:
-    """The exact (CdfTable, step) that `_pack` packed."""
-    step = float(np.frombuffer(blob, np.float64, 1)[0])
-    fields = np.frombuffer(blob, np.uint16, offset=8)
-    half_width, n_rows, d, n_cuts = fields[:4].tolist()
-    lo, hi = fields[4 : 4 + 2 * n_rows].reshape(2, n_rows, 1)
-    at = 4 + 2 * n_rows + n_cuts
-    cuts, run_rows = fields[4 + 2 * n_rows : at], fields[at : at + n_cuts + 1]
-    width = 2 * half_width + 3
-    ramp = np.arange(width, dtype=np.uint16)
-    cum = np.zeros((n_rows, width), dtype=np.uint32)
-    cum[ramp >= hi] = TOTAL + 1 - width
-    cum[(ramp >= lo) & (ramp < hi)] = fields[at + n_cuts + 1 :]
-    cum += ramp
-    # dimension j is in the run after every cut below j
-    rows = run_rows.astype(np.int32)[cuts.searchsorted(np.arange(d))]
-    return CdfTable(cum, rows, half_width), step
+def _restore(blob: bytes) -> tuple[TableWindows, float]:
+    """The windows of the table that `_pack` packed, and its step, read
+    straight from the bytes."""
+    view = memoryview(blob)
+    step = view[:8].cast("d")[0]
+    fields = view[8:].cast("H").tolist()
+    half_width, n_rows, d, n_cuts = fields[:4]
+    above = TOTAL - 2 - 2 * half_width  # K
+    at = 4 + 2 * n_rows
+    cuts = fields[at : at + n_cuts]
+    run_rows = fields[at + n_cuts : at + 2 * n_cuts + 1]
+    pos = at + 2 * n_cuts + 1
+    rows = []
+    for lo, hi in zip(fields[4 : 4 + n_rows], fields[4 + n_rows : at]):
+        # the rises lo..hi - 1 lie between the last zero rise and the first
+        # rise of K
+        win = [lo - 1]
+        win += map(add, fields[pos : pos + hi - lo], range(lo, hi))
+        win.append(hi + above)
+        rows.append((lo - 1, win))
+        pos += hi - lo
+    dims = []
+    for start, end, r in zip([-1] + cuts, cuts + [d - 1], run_rows):
+        dims += [rows[r]] * (end - start)
+    return TableWindows(dims, half_width, n_rows), step
 
 
 def _held_bytes(key: tuple, blob: bytes) -> int:
@@ -359,14 +447,13 @@ def _held_bytes(key: tuple, blob: bytes) -> int:
 
 
 class TableCache(dict):
-    """FIFO memo of (CdfTable, step) entries holding at most MEMO_ROWS rows
-    of counts; a miss costs one build_cdf. Each model owns one, filled by
+    """FIFO memo of (TableWindows, step) entries holding at most MEMO_ROWS
+    window rows; a miss costs one build_cdf. Each model owns one, filled by
     `frame_tables`.
 
-    A table evicted from it moves to `packed`, a second FIFO of packed
-    entries that keeps at most PACKED_BYTES alive, from which `unpack`
-    restores it exactly for far less than a build. A restored table stays
-    packed too, so evicting it again packs nothing.
+    Every table built is kept packed too, in `packed`, a second FIFO that
+    keeps at most PACKED_BYTES alive. From it `restore` brings back the
+    windows of a table the live FIFO has dropped, for far less than a build.
     """
 
     rows = 0
@@ -376,19 +463,14 @@ class TableCache(dict):
         super().__init__()
         self.packed: dict[tuple, bytes] = {}
 
-    def put(self, key: tuple, entry: tuple[CdfTable, float]) -> None:
-        n = entry[0].cum.shape[0]
+    def put(self, key: tuple, entry: tuple[TableWindows, float]) -> None:
+        n = entry[0].n_rows
         while self and self.rows + n > MEMO_ROWS:
-            old = next(iter(self))
-            table, step = self.pop(old)
-            self.rows -= table.cum.shape[0]
-            if old not in self.packed:
-                self._keep_packed(old, table, step)
+            self.rows -= self.pop(next(iter(self)))[0].n_rows
         self.rows += n
         self[key] = entry
 
-    def _keep_packed(self, key: tuple, table: CdfTable, step: float) -> None:
-        blob = _pack(table, step)
+    def keep_packed(self, key: tuple, blob: bytes) -> None:
         packed = self.packed
         packed[key] = blob
         self.packed_bytes += _held_bytes(key, blob)
@@ -397,26 +479,26 @@ class TableCache(dict):
             oldest = next(iter(packed))
             self.packed_bytes -= _held_bytes(oldest, packed.pop(oldest))
 
-    def unpack(self, key: tuple) -> tuple[CdfTable, float] | None:
+    def restore(self, key: tuple) -> tuple[TableWindows, float] | None:
         """The packed entry under `key`, restored into the memo, or None."""
         blob = self.packed.get(key)
         if blob is None:
             return None
-        entry = _unpack(blob)
+        entry = _restore(blob)
         self.put(key, entry)
         return entry
 
 
 def frame_tables(
     model: CodecModel, si: SideInfo | None, q_lambda: int
-) -> tuple[CdfTable, float]:
+) -> tuple[TableWindows, float]:
     """Tables and quantizer step of a frame coded at rate index `q_lambda`
     under side info `si` (None: no summary, so a zero mean).
 
-    Sender and receiver both call this, so the receiver rebuilds exactly
-    the tables the payload was coded with. The model memoizes them in its
-    own TableCache, created on first use, whose packed FIFO keeps the
-    tables of a whole stream for the receiver.
+    Sender and receiver both call this, so the receiver finds exactly the
+    tables the payload was coded with. The model memoizes them in its own
+    TableCache, created on first use, whose packed FIFO keeps the tables of
+    a whole stream for the receiver.
     """
     try:
         memo = model._tables  # type: ignore[attr-defined]
@@ -424,11 +506,13 @@ def frame_tables(
         memo = TableCache()
         object.__setattr__(model, "_tables", memo)
     key = (si.indices if si is not None else (), q_lambda)
-    entry = memo.get(key) or memo.unpack(key)
+    entry = memo.get(key) or memo.restore(key)
     if entry is None:
         step = RateControl(q_lambda).step
         z_hat = None if si is None else rvq_decode(si, model.codebooks)
-        entry = (build_cdf(hyper_synthesis(z_hat, model), step), step)
+        table = build_cdf(hyper_synthesis(z_hat, model), step)
+        memo.keep_packed(key, _pack(table, step))
+        entry = (table.windows, step)
         memo.put(key, entry)
     return entry
 

@@ -38,8 +38,8 @@ import numpy as np
 
 from .hyperprior import CodecModel, SideInfo, apply_confidence, rvq_decode
 from .packets import FecConfig, Packet
-from .rangecoder import DecodeFailure, decode_frame, frame_tables
-from .transform import Q_NUM, LatentCode, dequantize
+from .rangecoder import DecodeFailure, _decode_symbols, frame_tables
+from .transform import Q_NUM, LatentCode
 
 PATH_ENTROPY = "entropy"
 PATH_PLC_HIGH = "plc_high"
@@ -93,9 +93,12 @@ def _entropy_code(
     fails its guard."""
     tables, step = frame_tables(model, si, packet.q_lambda)
     try:
-        return dequantize(decode_frame(packet.payload, tables, model.d_y, t), step)
+        symbols = _decode_symbols(packet.payload, tables, model.d_y)
     except DecodeFailure:
         return None
+    # the code `dequantize` gives, without its QuantizedLatent: every symbol
+    # converts to float64 exactly
+    return LatentCode(np.array(symbols, dtype=np.float64) * step, t)
 
 
 class SharedDecode:

@@ -230,7 +230,7 @@ def test_loss_sweep_decodes_each_packet_once(workdir, monkeypatch):
     # every point receives the one packet list, so the points share one
     # decode per frame; cli.simulate_stream, the binding the benchmark
     # times, runs once per point
-    decodes = _count_calls(monkeypatch, receiver, "decode_frame")
+    decodes = _count_calls(monkeypatch, receiver, "_decode_symbols")
     runs = _count_calls(monkeypatch, cli, "simulate_stream")
     d, wav, model, container = workdir
     frames = read_container(container)[0].frame_count
@@ -244,7 +244,7 @@ def test_loss_sweep_decodes_each_packet_once(workdir, monkeypatch):
 @pytest.mark.parametrize("ref", [False, True], ids=["decoded-ref", "wav-ref"])
 def test_simulate_decodes_each_packet_at_most_once(workdir, monkeypatch, ref):
     # without --ref the loss-free reference reuses the lossy run's decodes
-    decodes = _count_calls(monkeypatch, receiver, "decode_frame")
+    decodes = _count_calls(monkeypatch, receiver, "_decode_symbols")
     runs = _count_calls(monkeypatch, cli, "simulate_stream")
     d, wav, model, container = workdir
     argv = ["simulate", "--container", str(container), "--model", str(model),

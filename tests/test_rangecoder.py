@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from voxfec.frontend import PcmClip
-from voxfec.hyperprior import GaussianParams, SideInfo
+from voxfec.hyperprior import GaussianParams, SideInfo, hyper_synthesis, rvq_decode
 from voxfec.packets import FecConfig
 from voxfec.pipeline import decode_stream, encode_stream
 import voxfec.rangecoder as rangecoder
@@ -31,9 +31,10 @@ from voxfec.rangecoder import (
     DecodeFailure,
     TOTAL,
     TableCache,
+    TableWindows,
     _largest_remainder,
     _pack,
-    _unpack,
+    _restore,
     build_cdf,
     decode_frame,
     encode_frame,
@@ -196,7 +197,7 @@ def test_frame_tables_memo_belongs_to_the_model(tiny_model):
     # an equal model object has its own memo, which builds equal tables
     twin = dataclasses.replace(tiny_model)
     twin_tables, _ = frame_tables(twin, si, 32)
-    assert twin_tables is not tables and np.array_equal(twin_tables.cum, tables.cum)
+    assert twin_tables is not tables and twin_tables == tables
     # a pickled model leaves its memo and its CRC cache behind
     assert tiny_model.content_crc == twin.content_crc
     clone = pickle.loads(pickle.dumps(tiny_model))
@@ -207,7 +208,7 @@ def test_frame_tables_memo_belongs_to_the_model(tiny_model):
 
 
 def test_model_pickles_and_copies_after_coding_a_stream(tiny_model):
-    # decoding fills the memo with memoryviews, which cannot be pickled
+    # decoding fills the memo, which a pickle or a copy leaves behind
     model = dataclasses.replace(tiny_model)  # with its own, empty memo
     fec = FecConfig(1, (1,))
     clip = PcmClip(np.random.default_rng(5).normal(0, 3000, 40 * model.d_l).astype(np.int16))
@@ -221,10 +222,9 @@ def test_model_pickles_and_copies_after_coding_a_stream(tiny_model):
 
 @pytest.mark.parametrize("rows, held", [(16, 272), (2, 2180)])
 def test_table_memo_holds_a_fixed_number_of_rows(rows, held):
-    # every table frame_tables builds has 2 * HALF_WIDTH + 3 = 513 counts
-    # per row; the memo holds 4,360 such rows and evicts the oldest first
-    cum = np.zeros((rows, 2 * HALF_WIDTH + 3), dtype=np.uint32)
-    table = CdfTable(cum, np.zeros(rows, dtype=np.int32))
+    # the live memo holds 4,360 window rows, however the dimensions share
+    # them, and evicts the oldest table first
+    table = TableWindows([(0, [0, TOTAL])] * 320, HALF_WIDTH, rows)
     memo = TableCache()
     keys = range(held + 10)
     for key in keys:
@@ -596,19 +596,97 @@ def integer_tables(draw):
     return CdfTable(cum, rows.astype(np.int32), half)
 
 
+@st.composite
+def codec_tables(draw):
+    """Gaussian tables at the quantizer steps of rate indices 0, 32 and 63,
+    with means and spreads of a few steps, in bands of equal dimensions."""
+    step = RateControl(draw(st.sampled_from([0, 32, 63]))).step
+    bands = draw(st.integers(1, 6))
+    units = st.floats(-20.0, 20.0, allow_nan=False)
+    mu = np.array(draw(st.lists(units, min_size=bands, max_size=bands)))
+    sigma = np.array(draw(st.lists(st.floats(0.05, 20.0), min_size=bands, max_size=bands)))
+    width = draw(st.integers(1, 20))
+    return build_cdf(
+        GaussianParams(np.repeat(mu * step, width), np.repeat(sigma * step, width)), step
+    )
+
+
 @settings(max_examples=300)
 @given(
-    tables=st.one_of(coded_frames().map(lambda frame: frame[0]), integer_tables()),
+    tables=st.one_of(codec_tables(), integer_tables(), coded_frames().map(lambda f: f[0])),
     step=st.floats(1e-3, 4.0),
 )
 def test_packed_tables_unpack_exactly(tables, step):
-    # Gaussian tables of half width 1..300 with a row per dimension, and
-    # integer tables whose dimensions share rows out of order
-    back, back_step = _unpack(_pack(tables, step))
-    assert back.cum.dtype == tables.cum.dtype and np.array_equal(back.cum, tables.cum)
-    assert back.rows.dtype == tables.rows.dtype and np.array_equal(back.rows, tables.rows)
-    assert back.half_width == tables.half_width
-    assert back_step == step
+    # the windows restored from a table's packed bytes are the windows the
+    # table converts to, for the codec's tables, integer tables whose
+    # dimensions share rows out of order, and Gaussian tables of half width
+    # 1..300 with a row per dimension
+    assert _restore(_pack(tables, step)) == (tables.windows, step)
+
+
+@st.composite
+def window_tables(draw):
+    """Valid integer tables of any half width whose extra counts fall in a
+    window that may start at symbol 0 or end at the escape slot, which
+    then holds more than one count."""
+    half = draw(st.integers(1, HALF_WIDTH))
+    n_slots = 2 * half + 2  # symbols plus the escape slot
+    n_rows = draw(st.integers(1, 3))
+    cum = np.zeros((n_rows, n_slots + 1), dtype=np.uint32)
+    for r in range(n_rows):
+        first = draw(st.one_of(st.just(0), st.integers(0, n_slots - 1)))
+        last = draw(st.one_of(st.just(n_slots - 1), st.integers(first, n_slots - 1)))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        counts = np.ones(n_slots, dtype=np.int64)
+        # both ends of the window hold more than one count
+        counts[[first, last]] += 1
+        weights = rng.integers(0, 1000, last + 1 - first)
+        spare = TOTAL - counts.sum()
+        counts[first : last + 1] += spare * weights // max(weights.sum(), 1)
+        counts[rng.integers(first, last + 1)] += TOTAL - counts.sum()
+        cum[r, 1:] = np.cumsum(counts)
+    d = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.integers(0, n_rows - 1), min_size=d, max_size=d))
+    return CdfTable(cum, np.array(rows, dtype=np.int32), half)
+
+
+@settings(max_examples=200)
+@given(tables=window_tables(), data=st.data())
+def test_windows_code_as_the_dense_rows(tables, data):
+    # every slot of every dimension has the same [c, c + f) in the windows
+    # as in the dense row; coding through the windows gives the reference
+    # coder's bytes, and decoding them its symbols or its DecodeFailure
+    windows = tables.windows
+    k = TOTAL + 1 - tables.cum.shape[1]
+    for (a, win), r in zip(windows.dims, tables.rows.tolist()):
+        row = tables.cum[r].tolist()
+        for s in range(len(row) - 1):
+            j = s - a
+            if j < 0:
+                slot = (s, 1)
+            elif j < len(win) - 1:
+                slot = (win[j], win[j + 1] - win[j])
+            else:
+                slot = (s + k, 1)
+            assert slot == (row[s], row[s + 1] - row[s])
+    d = tables.rows.size
+    half = tables.half_width
+    inside = st.integers(-half, half)
+    escaped = st.integers(-32768, 32767).filter(lambda v: abs(v) > half)
+    vals = data.draw(st.lists(st.one_of(inside, escaped), min_size=d, max_size=d))
+    bits = encode_frame(QuantizedLatent(np.array(vals), 0), windows)
+    assert (bits.data, bits.bit_length) == _reference_encode(vals, tables)
+    flip = data.draw(st.integers(0, bits.bit_length - 1))
+    flipped = bytearray(bits.data)
+    flipped[flip >> 3] ^= 0x80 >> (flip & 7)
+    for stream in (bits, Bitstream(bytes(flipped), bits.bit_length)):
+        try:
+            want = _reference_decode(stream, tables, d)
+        except DecodeFailure:
+            with pytest.raises(DecodeFailure):
+                decode_frame(stream, windows, d)
+        else:
+            assert decode_frame(stream, windows, d).indices.tolist() == want
 
 
 @settings(max_examples=300)
@@ -649,29 +727,46 @@ def test_decoder_matches_reference(tables, data):
 
 
 def test_decoding_keeps_no_copy_of_the_table(speech_model):
-    # what a received table keeps alive, once decoded from, is its uint32
-    # counts plus a few small views: no per-count Python objects
+    # the decoder reads the memo's windows as they are: decoding leaves
+    # behind no other form of the table, which would take kilobytes
     si = SideInfo((3, 9), 0)
-    warm = dataclasses.replace(speech_model)
-    tables, step = frame_tables(warm, si, 32)
-    rng = np.random.default_rng(41)
-    vals = np.rint(rng.normal(0, 0.02, size=tables.rows.size) / step).astype(np.int64)
-    bits = encode_frame(QuantizedLatent(vals, 0), tables)
-    decode_frame(bits, tables, speech_model.d_y)
     model = dataclasses.replace(speech_model)  # with its own, empty memo
+    tables, step = frame_tables(model, si, 32)
+    assert tables.n_rows == 16 and len(tables.dims) == speech_model.d_y
+    rng = np.random.default_rng(41)
+    vals = np.rint(rng.normal(0, 0.02, size=speech_model.d_y) / step).astype(np.int64)
+    bits = encode_frame(QuantizedLatent(vals, 0), tables)
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        fresh, _ = frame_tables(model, si, 32)
-        assert fresh is not tables and fresh.cum.shape == (16, 513)
-        out = decode_frame(bits, fresh, speech_model.d_y)
+        out = decode_frame(bits, frame_tables(model, si, 32)[0], speech_model.d_y)
+        assert np.array_equal(out.indices, vals)
         del out
         gc.collect()
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert kept < 2 * fresh.cum.nbytes + 16 * 1024
+    assert kept < 1024
+
+
+def test_a_live_table_keeps_its_windows_and_packed_bytes(speech_model):
+    # what a model's first table keeps alive at rate index 32: 16 windows
+    # of 17 to 34 counts, as Python ints, shared by 320 dimensions, and the
+    # table's packed bytes, about 17.6 KB in all; 513-wide uint32 rows
+    # alone would take 32.8 KB
+    model = dataclasses.replace(speech_model)  # with its own, empty memo
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tables, _ = frame_tables(model, SideInfo((3, 9), 0), 32)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert tables.n_rows == 16
+    assert kept < 24 * 1024
 
 
 def _band_table(step, rows=16, band=20):
@@ -683,16 +778,19 @@ def _band_table(step, rows=16, band=20):
 
 
 def _fill(memo, table, n):
-    """Put `table` under n side-info-like keys, oldest first."""
+    """Keep `table` under n side-info-like keys, oldest first, as
+    `frame_tables` keeps each table it builds: packed and live."""
     keys = [((300 + k % 700, 300 + k // 700), 32) for k in range(n)]
     for key in keys:
-        memo.put(key, (table, 0.5))
+        memo.keep_packed(key, _pack(table, 0.5))
+        memo.put(key, (table.windows, 0.5))
     return keys
 
 
 def test_packed_memo_keeps_the_newest_evicted_tables_within_its_bytes():
-    # evicted tables move to the packed FIFO, which evicts the oldest first
-    # and keeps at most PACKED_BYTES, charged per entry and for its dict
+    # every table is kept packed as well as live; the packed FIFO evicts the
+    # oldest first and keeps at most PACKED_BYTES, charged per entry and for
+    # its dict, so it holds the newest tables the live FIFO has evicted
     assert PACKED_BYTES == 8 << 20
     table = _band_table(0.5)
     memo = TableCache()
@@ -700,17 +798,18 @@ def test_packed_memo_keeps_the_newest_evicted_tables_within_its_bytes():
     live = MEMO_ROWS // 16
     assert list(memo) == keys[-live:]
     packed = list(memo.packed)
-    assert 3_000 < len(packed) < len(keys) - live
-    assert packed == keys[-live - len(packed) : -live]
+    assert 3_000 < len(packed) < len(keys)
+    assert packed == keys[-len(packed) :]
     held = memo.packed_bytes / len(packed)
     charged = memo.packed_bytes + sys.getsizeof(memo.packed)
     assert PACKED_BYTES - held < charged <= PACKED_BYTES
-    # the oldest packed table comes back exactly and joins the live memo;
-    # a table evicted from both is gone
-    back, step = memo.unpack(packed[0])
-    assert np.array_equal(back.cum, table.cum) and np.array_equal(back.rows, table.rows)
-    assert step == 0.5 and memo.get(packed[0]) == (back, step)
-    assert memo.unpack(keys[0]) is None
+    # the oldest packed table comes back as its windows and joins the live
+    # memo; a table evicted from both is gone
+    assert memo.get(packed[0]) is None
+    back, step = memo.restore(packed[0])
+    assert back == table.windows and step == 0.5
+    assert memo.get(packed[0]) == (back, step)
+    assert memo.restore(keys[0]) is None
 
 
 @pytest.mark.parametrize("rows", [16, 1])
@@ -722,10 +821,13 @@ def test_packed_memo_keeps_no_more_than_it_charges(speech_model, monkeypatch, ro
     budget = 1 << 20
     monkeypatch.setattr(rangecoder, "PACKED_BYTES", budget)
     if rows == 16:
-        table, _ = frame_tables(dataclasses.replace(speech_model), SideInfo((3, 9), 0), 32)
+        si = SideInfo((3, 9), 0)
+        step = RateControl(32).step
+        z_hat = rvq_decode(si, speech_model.codebooks)
+        table = build_cdf(hyper_synthesis(z_hat, speech_model), step)
     else:
         table = _band_table(0.5, rows=1)
-    assert table.cum.shape[0] == rows
+    assert table.cum.shape[0] == rows and table.windows.n_rows == rows
     n = MEMO_ROWS // rows + budget // 256  # more than either kind fills
     gc.collect()
     tracemalloc.start()
@@ -738,5 +840,5 @@ def test_packed_memo_keeps_no_more_than_it_charges(speech_model, monkeypatch, ro
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert len(memo.packed) < n - MEMO_ROWS // rows
+    assert len(memo.packed) < n
     assert 0.8 * budget < kept <= budget
