@@ -75,7 +75,6 @@ from .receiver import (
     Receiver,
     ReceiverConfig,
     ReceiverReport,
-    SharedDecode,
 )
 from .transform import (
     LatentCode,

@@ -37,7 +37,7 @@ from .packets import (
     write_container,
 )
 from .pipeline import decode_stream, encode_stream, simulate_stream
-from .receiver import ReceiverConfig, SharedDecode
+from .receiver import ReceiverConfig
 from .transform import RateControl, analysis_rows
 
 METRICS_SCHEMA = "# voxfec metrics v1"
@@ -239,15 +239,14 @@ def cmd_decode(args) -> int:
 def cmd_simulate(args) -> int:
     header, packets, model, config = _open_stream(args)
     trace = _trace_for(args, len(packets))
-    # the loss-free reference reuses every decode the lossy run made
-    shared = SharedDecode(packets, model)
-    result = simulate_stream(packets, trace, model, config, header.sample_count, shared)
+    result = simulate_stream(packets, trace, model, config, header.sample_count)
     if args.out_wav:
         write_wav(args.out_wav, result.clip)
     if args.ref:
         ref = read_wav(args.ref)
     else:
-        ref = decode_stream(packets, model, config, header.sample_count, shared).clip
+        # the packets keep the lossy run's decodes, so this reuses them
+        ref = decode_stream(packets, model, config, header.sample_count).clip
     wave = compute_metrics(ref, result.clip)
     rates = account_stream(packets, header.fec.frame_rate) if len(packets) >= header.fec.frame_rate else None
     if args.out_csv:
@@ -302,12 +301,9 @@ def cmd_sweep(args) -> int:
         # codes the stream once and decodes each packet at most once
         if result is None or args.axis != "loss":
             result = encode_stream(clip, model, q, point_fec)
-            shared = SharedDecode(result.packets, model)
         trace = gen_bernoulli(p, len(result.packets), args.seed) if p > 0 else None
         config = ReceiverConfig(result.header.fec, args.delay)
-        sim = simulate_stream(
-            result.packets, trace, model, config, result.header.sample_count, shared
-        )
+        sim = simulate_stream(result.packets, trace, model, config, result.header.sample_count)
         rows.append(_metrics_row(label, result.report, compute_metrics(clip, sim.clip), sim.report))
         print(f"{label}: done")
     with open(args.out, "w", encoding="ascii") as fh:

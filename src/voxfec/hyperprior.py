@@ -200,8 +200,9 @@ class CodecModel:
         return zlib.crc32(_model_body(self)) & 0xFFFFFFFF
 
     def __getstate__(self):
-        # caches built on first use (the CRC, the CDF-table memo, whose
-        # memoryviews cannot be pickled) stay behind in a pickle or a copy
+        # caches built on first use (the CRC, and the CDF-table memo with up
+        # to several MB of tables) stay behind in a pickle or a copy, which
+        # rebuilds them as it needs them
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 

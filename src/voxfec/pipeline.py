@@ -24,7 +24,6 @@ from .receiver import (
     Receiver,
     ReceiverConfig,
     ReceiverReport,
-    SharedDecode,
 )
 from .transform import (
     QuantizedLatent,
@@ -95,17 +94,15 @@ def run_receiver(
     trace: LossTrace | None,
     model: CodecModel,
     config: ReceiverConfig,
-    shared: SharedDecode | None = None,
 ) -> tuple[list[DecodedFrame], ReceiverReport]:
-    """Feed packets (or their loss markers) through a fresh receiver, which
-    reuses and fills `shared`, a pass over this very packet list."""
+    """Feed packets (or their loss markers) through a fresh receiver. Each
+    received packet keeps its entropy decode, which a later run over the
+    same packet objects reuses."""
     if trace is not None and len(trace) < len(packets):
         raise ValueError(
             f"trace has {len(trace)} entries for {len(packets)} packets"
         )
-    if shared is not None and shared.packets is not packets:
-        raise ValueError("shared decode was built for another packet list")
-    rx = Receiver(model, config, shared)
+    rx = Receiver(model, config)
     lost = trace.flags.tolist() if trace is not None else [False] * len(packets)
     decoded: list[DecodedFrame] = []
     for t, pkt in enumerate(packets):
@@ -121,17 +118,15 @@ def simulate_stream(
     model: CodecModel,
     config: ReceiverConfig,
     sample_count: int,
-    shared: SharedDecode | None = None,
 ) -> SimResult:
     """Receiver run plus waveform reconstruction: one inverse DCT over the
-    emitted codes. `sample_count` must need exactly one frame per packet.
-    `shared` is as for `run_receiver`."""
+    emitted codes. `sample_count` must need exactly one frame per packet."""
     if sample_count < 1 or -(-sample_count // model.d_l) != len(packets):
         raise ValueError(
             f"sample count {sample_count} does not match {len(packets)} frames "
             f"of {model.d_l} samples"
         )
-    decoded, report = run_receiver(packets, trace, model, config, shared)
+    decoded, report = run_receiver(packets, trace, model, config)
     codes = np.stack([d.code.coeffs for d in decoded])
     paths = [d.path for d in decoded]
     clip = pcm_from_rows(synthesis_rows(codes), sample_count)
@@ -143,7 +138,6 @@ def decode_stream(
     model: CodecModel,
     config: ReceiverConfig,
     sample_count: int,
-    shared: SharedDecode | None = None,
 ) -> SimResult:
     """Loss-free decode of a container."""
-    return simulate_stream(packets, None, model, config, sample_count, shared)
+    return simulate_stream(packets, None, model, config, sample_count)

@@ -17,16 +17,8 @@ its decode path is final:
 A packet whose rate index or side info the model cannot use counts as
 lost. Every frame always yields output, in order and gap-free.
 
-Every receiver run over one packet list may share a `SharedDecode`, which
-keeps each frame's entropy decode the first time a run needs it. A later
-run reuses it only for the very packet object the pass was built from and
-only under the very side-info object the kept decode used; then the payload
-and the tables are the same, so the decode is too. A packet that carries
-its own offset-0 block always decodes under that block. A packet built
-without one takes its side info from whichever backup arrived first, so
-its decode depends on the loss pattern, and such a frame is decoded again
-whenever that copy differs. `read_container` refuses such packets, and
-`build_packet` never makes them when side info is on.
+A packet keeps its entropy decode, so later runs over the same packet
+object reuse it; see `_entropy_code`.
 """
 
 from __future__ import annotations
@@ -87,70 +79,43 @@ class ReceiverReport:
 
 
 def _entropy_code(
-    model: CodecModel, packet: Packet, si: SideInfo | None, t: int
+    model: CodecModel, packet: Packet, si: SideInfo | None
 ) -> LatentCode | None:
-    """The payload of frame t decoded under side info `si`; None when it
-    fails its guard."""
+    """The packet's payload decoded under side info `si`; None when it fails
+    its guard.
+
+    The packet keeps the result as `(model, si, code)`, and a later call
+    with the very same model and side-info objects returns the kept code:
+    then the payload and the tables are the same, so the decode is too. A
+    packet without its own offset-0 block takes its side info from whichever
+    backup arrived first, so it decodes again whenever that copy differs;
+    `read_container` refuses such packets, and `build_packet` never makes
+    them when side info is on. Kept codes are read-only, so no run can
+    change another's output.
+    """
+    kept = getattr(packet, "_decoded", None)
+    if kept is not None and kept[0] is model and kept[1] is si:
+        return kept[2]
     tables, step = frame_tables(model, si, packet.q_lambda)
     try:
         symbols = _decode_symbols(packet.payload, tables, model.d_y)
     except DecodeFailure:
-        return None
-    # the code `dequantize` gives, without its QuantizedLatent: every symbol
-    # converts to float64 exactly
-    return LatentCode(np.array(symbols, dtype=np.float64) * step, t)
-
-
-class SharedDecode:
-    """Loss-free entropy decodes of one packet list under one model, filled
-    frame by frame as receiver runs over that list first need them.
-
-    A frame is not yet decoded, decoded into its row of a (frames, d_y) code
-    matrix, or failed its guard. The rows it hands out are read-only, so no
-    run can change another's output. See the module docstring for when a
-    kept decode is reused.
-    """
-
-    def __init__(self, packets: list[Packet], model: CodecModel):
-        self.packets = packets
-        self.model = model
-        self._rows = np.zeros((len(packets), model.d_y))
-        # per frame: None while not yet decoded, else (the side info the
-        # decode used, its code or None for a DecodeFailure)
-        self._kept: list[tuple[SideInfo | None, LatentCode | None] | None] = (
-            [None] * len(packets)
-        )
-
-    def code(self, packet: Packet, si: SideInfo | None, t: int) -> LatentCode | None:
-        """Frame t's entropy decode of `packet` under `si`, kept or fresh."""
-        own = t < len(self.packets) and packet is self.packets[t]
-        kept = self._kept[t] if own else None
-        if kept is not None and kept[0] is si:
-            return kept[1]
-        code = _entropy_code(self.model, packet, si, t)
-        if own and kept is None:
-            if code is not None:
-                row = self._rows[t]
-                row[:] = code.coeffs
-                row.flags.writeable = False
-                code = LatentCode(row, t)
-            self._kept[t] = (si, code)
-        return code
+        code = None
+    else:
+        # the code `dequantize` gives, without its QuantizedLatent: every
+        # symbol converts to float64 exactly
+        coeffs = np.array(symbols, dtype=np.float64) * step
+        coeffs.flags.writeable = False
+        code = LatentCode(coeffs, packet.frame_index)
+    object.__setattr__(packet, "_decoded", (model, si, code))
+    return code
 
 
 class Receiver:
     """One per stream; strictly sequential. See the module docstring."""
 
-    def __init__(
-        self,
-        model: CodecModel,
-        config: ReceiverConfig,
-        shared: SharedDecode | None = None,
-    ):
-        if shared is not None and shared.model is not model:
-            raise ValueError("shared decode was built for another model")
+    def __init__(self, model: CodecModel, config: ReceiverConfig):
         self.model = model
-        self._shared = shared
         self._delay = config.delay
         self._cache: dict[int, SideInfo] = {}
         # one entry per event not yet emitted, from frame _next_emit on;
@@ -218,12 +183,7 @@ class Receiver:
         t = self._next_emit
         packet = self._pending.popleft()
         si = self._cache.pop(t, None)
-        code = None
-        if packet is not None:
-            if self._shared is None:
-                code = _entropy_code(model, packet, si, t)
-            else:
-                code = self._shared.code(packet, si, t)
+        code = None if packet is None else _entropy_code(model, packet, si)
         if code is not None:
             path = PATH_ENTROPY
         else:  # lost, unusable, or failed its guard: conceal

@@ -1,4 +1,5 @@
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from tests.conftest import build_model
 import voxfec.rangecoder as rangecoder
+import voxfec.receiver as receiver
 from voxfec.channel import LossTrace, gen_bernoulli
 from voxfec.corpus import speech_like_clip
 from voxfec.frontend import PcmClip
@@ -19,7 +21,6 @@ from voxfec.receiver import (
     ProtocolError,
     Receiver,
     ReceiverConfig,
-    SharedDecode,
 )
 from voxfec.transform import LatentCode, dequantize
 
@@ -36,6 +37,11 @@ def encode_for(model, n_frames, fec, q_lambda=32, seed=0):
 
 def trace_from_flags(flags):
     return LossTrace(np.asarray(flags, dtype=bool), "file")
+
+
+def fresh_copies(packets):
+    """Equal packets that have decoded nothing yet."""
+    return [parse(serialize(p)) for p in packets]
 
 
 FEC = FecConfig(1, (1, 13))
@@ -135,7 +141,9 @@ def test_received_frames_decode_identically_under_loss(tiny_model):
     rng = np.random.default_rng(7)
     for seed in range(10):
         trace = gen_bernoulli(0.3, 80, seed=seed)
-        sim = simulate_stream(res.packets, trace, tiny_model, ReceiverConfig(FEC), len(clip))
+        # fresh copies, so that every run decodes its packets itself
+        packets = fresh_copies(res.packets)
+        sim = simulate_stream(packets, trace, tiny_model, ReceiverConfig(FEC), len(clip))
         for t in range(80):
             if not trace.flags[t]:
                 assert np.array_equal(sim.codes[t], clean.codes[t]), t
@@ -363,8 +371,15 @@ def test_each_emitted_frame_is_validated_once(tiny_model, every_path, monkeypatc
 
     monkeypatch.setattr(LatentCode, "__post_init__", counted)
     packets, trace = every_path
+    packets = fresh_copies(packets)
     run_receiver(packets, trace, tiny_model, ReceiverConfig(FEC))
     assert checks == list(range(60))
+    # a second run over the same packets reuses their kept codes, so only
+    # its concealed frames make a LatentCode
+    checks.clear()
+    decoded, _ = run_receiver(packets, trace, tiny_model, ReceiverConfig(FEC))
+    assert checks == [d.code.frame_index for d in decoded if d.path != "entropy"]
+    assert len(checks) == 16
 
 
 def test_receiver_reuses_the_encoders_tables(speech_model, monkeypatch):
@@ -392,11 +407,12 @@ def test_receiver_reuses_the_encoders_tables(speech_model, monkeypatch):
     assert np.array_equal(warm.codes, cold.codes) and warm.paths == cold.paths
 
 
-# One shared decode pass, reused across receiver runs of one packet list,
-# must give exactly what runs without it give. The stream holds a payload
-# that fails its guard (frame 5), a packet without its own side-info block
-# whose two backups differ, so its decode depends on which copy arrives
-# (frame 9), and a packet the receiver cannot use (frame 14).
+# A packet keeps its entropy decode, so repeated receiver runs over the same
+# packet objects must give exactly what runs over fresh copies give. The
+# stream holds a payload that fails its guard (frame 5), a packet without
+# its own side-info block whose two backups differ, so its decode depends
+# on which copy arrives (frame 9), and a packet the receiver cannot use
+# (frame 14).
 SHARED_FRAMES = 40
 
 
@@ -415,6 +431,15 @@ def shared_stream(tiny_model):
     packets[22] = Packet(22, 32, packets[22].payload, (own, (1, si21), (13, other)))
     packets[14] = Packet(14, 70, packets[14].payload, packets[14].z_blocks)
     return packets
+
+
+def count_decodes(monkeypatch):
+    calls = []
+    decode = receiver._decode_symbols
+    monkeypatch.setattr(
+        receiver, "_decode_symbols", lambda *args: calls.append(1) or decode(*args)
+    )
+    return calls
 
 
 def assert_same_runs(got, want):
@@ -437,23 +462,19 @@ def assert_same_runs(got, want):
         max_size=5,
     )
 )
-def test_shared_decode_matches_runs_without_it(tiny_model, shared_stream, runs):
+def test_kept_decodes_match_runs_over_fresh_copies(tiny_model, shared_stream, runs):
     packets = shared_stream
-    shared = SharedDecode(packets, tiny_model)
     for flags, delay in runs:
         trace = trace_from_flags(flags)
         config = ReceiverConfig(FEC, delay)
-        got = run_receiver(packets, trace, tiny_model, config, shared)
-        assert_same_runs(got, run_receiver(packets, trace, tiny_model, config))
+        got = run_receiver(packets, trace, tiny_model, config)
+        assert_same_runs(got, run_receiver(fresh_copies(packets), trace, tiny_model, config))
         for d in got[0]:
-            if d.path == "entropy" and d.code.frame_index != 9:
+            if d.path == "entropy":
                 assert not d.code.coeffs.flags.writeable
-        # an equal list is still another list
-        with pytest.raises(ValueError, match="another packet list"):
-            run_receiver(list(packets), trace, tiny_model, config, shared)
 
 
-def test_shared_decode_follows_the_side_info_copy(tiny_model, shared_stream):
+def test_kept_decode_follows_the_side_info_copy(tiny_model, shared_stream, monkeypatch):
     # frame 9 carries no block of its own: with packet 10 it decodes under
     # the offset-1 copy, without it under packet 22's different offset-13
     # copy, and a kept decode under one copy is not reused under the other
@@ -462,43 +483,78 @@ def test_shared_decode_follows_the_side_info_copy(tiny_model, shared_stream):
     flags = np.zeros(SHARED_FRAMES, dtype=bool)
     lose_10 = flags.copy()
     lose_10[10] = True
-    fresh = [run_receiver(packets, trace_from_flags(f), tiny_model, config)
+    fresh = [run_receiver(fresh_copies(packets), trace_from_flags(f), tiny_model, config)
              for f in (flags, lose_10)]
     assert fresh[0][0][9].code.coeffs.tobytes() != fresh[1][0][9].code.coeffs.tobytes()
-    shared = SharedDecode(packets, tiny_model)
-    for f, want in zip((flags, lose_10, flags), fresh + fresh[:1]):
-        assert_same_runs(run_receiver(packets, trace_from_flags(f), tiny_model, config, shared),
-                         want)
+    run_receiver(packets, None, tiny_model, config)
+    decodes = count_decodes(monkeypatch)
+    for f, want in zip((lose_10, flags), fresh[::-1]):
+        decodes.clear()
+        assert_same_runs(run_receiver(packets, trace_from_flags(f), tiny_model, config), want)
+        assert len(decodes) == 1  # frame 9 only; every other kept decode serves
 
 
-def test_shared_decode_is_not_used_for_other_packet_objects(tiny_model, shared_stream):
-    # a receiver fed packets that are not the pass's own objects decodes
-    # them itself: here frame 5's good payload under the very side info
-    # whose kept decode failed
-    shared = SharedDecode(shared_stream, tiny_model)
+def test_kept_decode_is_not_used_for_other_packet_objects(tiny_model, shared_stream):
+    # a receiver fed packets that are not the decoded objects decodes them
+    # itself: here frame 5's good payload under the very side info whose
+    # kept decode failed
     config = ReceiverConfig(FEC)
-    run_receiver(shared_stream, None, tiny_model, config, shared)
+    run_receiver(shared_stream, None, tiny_model, config)
     payload = encode_for(tiny_model, SHARED_FRAMES, FEC)[1].packets[5].payload
     good = Packet(5, 32, payload, shared_stream[5].z_blocks)
     events = shared_stream[:5] + [good] + shared_stream[6:]
-    rx = Receiver(tiny_model, config, shared)
-    decoded = [d for p in events for d in rx.ingest(p)] + rx.finalize()[0]
-    want = Receiver(tiny_model, config)
-    expected = [d for p in events for d in want.ingest(p)] + want.finalize()[0]
-    assert decoded[5].path == "entropy"
-    assert_same_runs((decoded, None), (expected, None))
+    decoded = run_receiver(events, None, tiny_model, config)
+    assert decoded[0][5].path == "entropy"
+    assert_same_runs(decoded, run_receiver(fresh_copies(events), None, tiny_model, config))
 
 
-def test_shared_codes_are_read_only(tiny_model, shared_stream):
-    shared = SharedDecode(shared_stream, tiny_model)
-    decoded, _ = run_receiver(shared_stream, None, tiny_model, ReceiverConfig(FEC), shared)
+def test_kept_codes_are_read_only(tiny_model, shared_stream):
+    decoded, _ = run_receiver(shared_stream, None, tiny_model, ReceiverConfig(FEC))
     with pytest.raises(ValueError, match="read-only"):
         decoded[0].code.coeffs[0] = 1.0
-    again, _ = run_receiver(shared_stream, None, tiny_model, ReceiverConfig(FEC), shared)
+    again, _ = run_receiver(shared_stream, None, tiny_model, ReceiverConfig(FEC))
     assert again[0].code is decoded[0].code
 
 
-def test_shared_decode_for_another_model_is_refused(tiny_model, q0_model, shared_stream):
-    shared = SharedDecode(shared_stream, q0_model)
-    with pytest.raises(ValueError, match="another model"):
-        Receiver(tiny_model, ReceiverConfig(FEC), shared)
+def test_another_model_decodes_the_packets_again(tiny_model, shared_stream, monkeypatch):
+    # a kept decode belongs to the model object that made it: an equal twin
+    # decodes every usable received packet afresh, to the same output
+    config = ReceiverConfig(FEC)
+    want = run_receiver(shared_stream, None, tiny_model, config)
+    twin = dataclasses.replace(tiny_model)
+    decodes = count_decodes(monkeypatch)
+    got = run_receiver(shared_stream, None, twin, config)
+    assert len(decodes) == SHARED_FRAMES - 1  # all but the unusable frame 14
+    assert_same_runs(got, want)
+    assert got[0][0].code is not want[0][0].code
+
+
+def test_a_decoded_packet_stays_the_same_value(tiny_model):
+    clip, res = encode_for(tiny_model, 20, FEC)
+    packets = res.packets
+    del res
+    copies = fresh_copies(packets)
+    wire = [serialize(p) for p in packets]
+    decoded, _ = run_receiver(packets, None, tiny_model, ReceiverConfig(FEC))
+    assert packets == copies
+    assert [serialize(p) for p in packets] == wire
+    again, _ = run_receiver(packets, None, tiny_model, ReceiverConfig(FEC))
+    assert again[3].code is decoded[3].code
+    kept = weakref.ref(decoded[3].code)
+    # kept decodes live exactly as long as the packets and the outputs
+    del packets, decoded, again
+    assert kept() is None
+
+
+@settings(max_examples=100)
+@given(
+    flags=st.lists(st.booleans(), min_size=0, max_size=SHARED_FRAMES),
+    delay=st.one_of(st.none(), st.integers(0, 20)),
+)
+def test_receiver_holds_at_most_delay_frames(tiny_model, shared_stream, flags, delay):
+    config = ReceiverConfig(FEC, delay)
+    rx = Receiver(tiny_model, config)
+    for t, lost in enumerate(flags):
+        rx.ingest(LostPacket(t) if lost else shared_stream[t])
+        assert len(rx._pending) == min(t + 1, config.delay)
+        assert len(rx._cache) <= config.delay
